@@ -9,7 +9,7 @@ and boundary coefficient pairs), enumerates triangulations and the flip graph,
 and ships exhaustive verification sweeps tying it all together.
 """
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .expansion import (
     BijectionReport,
     PartitionReport,
@@ -64,6 +64,7 @@ __all__ = [
     "ExchangeRelation",
     "FlipQuadrilateral",
     "InputError",
+    "InvariantError",
     "LaurentPolynomial",
     "Monomial",
     "PartitionReport",

@@ -67,6 +67,20 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return [_parse_pair(part) for part in text.split(",")]
 
 
+def _spec_int(value: object, what: str) -> int:
+    """A spec-file value that must be a JSON integer (not a boolean, float or string)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"spec-file {what} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_pair(value: object, what: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InputError(f"spec-file {what} {value!r} is not a vertex pair")
+    where = f"{what} {value!r} entry"
+    return _spec_int(value[0], where), _spec_int(value[1], where)
+
+
 def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     data: dict = {}
     if getattr(args, "spec_file", None):
@@ -80,17 +94,17 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
         if not isinstance(data, dict):
             raise InputError("spec file must hold a JSON object")
 
-    n = args.n if args.n is not None else data.get("n")
+    n = args.n
+    if n is None and data.get("n") is not None:
+        n = _spec_int(data["n"], "n")
     if n is None:
         raise InputError("no rank given (use --n or the spec file)")
     if args.diagonals is not None:
         diagonals = _parse_pairs(args.diagonals)
     elif "diagonals" in data:
-        diagonals = []
-        for pair in data["diagonals"]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InputError(f"spec-file diagonal {pair!r} is not a vertex pair")
-            diagonals.append((int(pair[0]), int(pair[1])))
+        if not isinstance(data["diagonals"], list):
+            raise InputError(f"spec-file diagonals {data['diagonals']!r} are not a list of pairs")
+        diagonals = [_spec_pair(pair, "diagonal") for pair in data["diagonals"]]
     else:
         diagonals = None
 
@@ -98,20 +112,17 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     if getattr(args, "target", None) is not None:
         target = _parse_pair(args.target)
     elif data.get("target") is not None:
-        raw = data["target"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise InputError(f"spec-file target {raw!r} is not a vertex pair")
-        target = (int(raw[0]), int(raw[1]))
+        target = _spec_pair(data["target"], "target")
 
     orient = getattr(args, "orient", None)
-    if orient is None:
-        orient = data.get("orient")
+    if orient is None and data.get("orient") is not None:
+        orient = _spec_int(data["orient"], "orient")
 
     trivial = bool(getattr(args, "trivial_coefficients", False) or data.get("trivial_coefficients"))
     fmt = getattr(args, "format", None) or data.get("format") or "text"
     if diagonals is None:
         raise InputError("no diagonals given (use --diagonals or the spec file)")
-    return ProblemSpec(int(n), diagonals, target, orient, trivial, fmt)
+    return ProblemSpec(n, diagonals, target, orient, trivial, fmt)
 
 
 def _expansion_payload(spec: ProblemSpec, chord: Arc, origin: int, poly: LaurentPolynomial) -> dict:

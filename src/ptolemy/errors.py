@@ -7,3 +7,11 @@ class InputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A request exceeds one of the built-in size guards."""
+
+
+class InvariantError(RuntimeError):
+    """A computed result breaks a property the library guarantees.
+
+    Raised explicitly rather than by ``assert``, so ``python -O`` keeps the
+    check.
+    """

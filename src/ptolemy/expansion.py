@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .laurent import LaurentPolynomial, Monomial
 from .polygon import Arc, CrossingStep, Triangulation, first_crossing_step
 from .tpaths import TPath, enumerate_t_paths, path_weight
@@ -62,13 +62,15 @@ def denominator_vector(t: Triangulation, chord: Arc) -> tuple[int, ...]:
     Entry i is the largest power of 1/x_i appearing in any term (0 when x_i
     never appears inverted).  The result must coincide with the indicator of
     which diagonals cross the chord, with every boundary entry zero; a
-    mismatch means the enumeration itself is broken, so it is asserted here.
+    mismatch means the enumeration itself is broken and raises
+    ``InvariantError``.
     """
     poly = expand(t, chord)
     vec = tuple(max(0, -poly.min_exponent(i)) for i in range(1, t.n_labels + 1))
     crossing = set(t.crossing_labels(chord))
     expected = tuple(1 if i in crossing else 0 for i in range(1, t.n_labels + 1))
-    assert vec == expected, f"denominators {vec} disagree with crossings {expected}"
+    if vec != expected:
+        raise InvariantError(f"denominators {vec} disagree with crossings {expected}")
     return vec
 
 

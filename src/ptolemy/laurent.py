@@ -65,13 +65,6 @@ class Monomial:
             tuple(a + b for a, b in zip(self.exponents, other.exponents)),
         )
 
-    def inverse_monic(self) -> "Monomial":
-        """Exponent-wise inverse, coefficient kept (used for weight ratios)."""
-        return Monomial(self.coefficient, tuple(-e for e in self.exponents))
-
-    def as_polynomial(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {self.exponents: self.coefficient})
-
     def __str__(self) -> str:
         return render_term(self.coefficient, self.exponents)
 
@@ -176,9 +169,6 @@ class LaurentPolynomial:
         """Terms in canonical (lexicographic exponent) order."""
         for exps in sorted(self._terms):
             yield exps, self._terms[exps]
-
-    def coefficient(self, exponents: Exponents) -> int:
-        return self._terms.get(tuple(exponents), 0)
 
     def coefficients(self) -> list[int]:
         return [coeff for _, coeff in self.terms()]

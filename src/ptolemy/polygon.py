@@ -13,6 +13,7 @@ is exact and every ordering total on its intended inputs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +84,11 @@ def crosses(d1: Arc, d2: Arc, n_vertices: int) -> bool:
     """
     d1.validate(n_vertices)
     d2.validate(n_vertices)
+    return _crosses(d1, d2, n_vertices)
+
+
+def _crosses(d1: Arc, d2: Arc, n_vertices: int) -> bool:
+    """``crosses`` for arcs already validated against ``n_vertices``."""
     if d1.u in (d2.u, d2.v) or d1.v in (d2.u, d2.v):
         return False
     span = ccw_steps(d1.u, d1.v, n_vertices)
@@ -212,7 +218,7 @@ class Triangulation:
         diags = self.edges[:n]
         for i in range(n):
             for j in range(i + 1, n):
-                if crosses(diags[i], diags[j], nv):
+                if _crosses(diags[i], diags[j], nv):
                     raise InputError(f"diagonals {diags[i]} and {diags[j]} cross")
 
     @property
@@ -313,7 +319,7 @@ class Triangulation:
         return [
             lab
             for lab in range(1, self.n + 1)
-            if crosses(self.edges[lab - 1], chord, self.n_vertices)
+            if _crosses(self.edges[lab - 1], chord, self.n_vertices)
         ]
 
     def crossing_labels_from(self, chord: Arc, origin: int) -> list[int]:
@@ -458,9 +464,9 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     start = _canonical(snake_triangulation(n))
     keys = {start.diagonal_key(): start}
     edge_keys: set[tuple[tuple[Arc, ...], tuple[Arc, ...]]] = set()
-    queue = [start]
+    queue = deque([start])
     while queue:
-        t = queue.pop(0)
+        t = queue.popleft()
         for k in range(1, n + 1):
             neighbor = _canonical(t.flip(k))
             nk = neighbor.diagonal_key()

@@ -20,14 +20,18 @@ the search.
 ``enumerate_t_paths`` prunes on the rules during a depth-first search;
 ``brute_force_t_paths`` generates every edge-distinct walk and filters with
 the validator, serving as its independent oracle at small rank.  Both list
-paths in lexicographic order of their label sequences.
+paths in lexicographic order of their label sequences.  Each call builds one
+table of crossing positions for its chord (``crossing_keys``), and the
+search, its validator calls and the oracle's all read it.  Every path the
+pruned search emits is checked against all six rules at a cost linear in its
+length, and a failure raises ``InvariantError``, under ``python -O`` as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .laurent import Monomial
 from .polygon import Arc, Triangulation, crosses, crossing_position
 
@@ -69,49 +73,67 @@ def _require_endpoints(t: Triangulation, source: int, target: int) -> Arc:
     return chord
 
 
-def is_valid_t_path(t: Triangulation, source: int, target: int, candidate: TPath) -> PathCheck:
-    """Check the six rules, reporting the first one violated.
+def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, tuple[int, int]]:
+    """Crossing position, seen from source, of each diagonal crossing source-target.
 
-    Malformed candidates (labels out of range, vertex/label length mismatch)
-    are input errors rather than rule violations.
+    Keyed by label; edges absent from the table do not cross the chord.
     """
     chord = _require_endpoints(t, source, target)
     nv = t.n_vertices
-    for v in candidate.vertices:
+    return {
+        lab: crossing_position(arc, source, target, nv)
+        for lab, arc in enumerate(t.diagonal_arcs(), start=1)
+        if crosses(arc, chord, nv)
+    }
+
+
+def is_valid_t_path(
+    t: Triangulation,
+    source: int,
+    target: int,
+    candidate: TPath,
+    *,
+    keys: dict[int, tuple[int, int]] | None = None,
+) -> PathCheck:
+    """Check the six rules, reporting the first one violated.
+
+    Malformed candidates (labels out of range, vertex/label length mismatch)
+    are input errors rather than rule violations.  ``keys`` is the table
+    ``crossing_keys(t, source, target)`` returns; a caller checking many paths
+    between the same endpoints builds it once and passes it in, and the check
+    then costs time linear in the path's length.
+    """
+    if keys is None:
+        keys = crossing_keys(t, source, target)
+    nv, n_labels = t.n_vertices, t.n_labels
+    vertices, labels = candidate.vertices, candidate.labels
+    for v in vertices:
         if not 1 <= v <= nv:
             raise InputError(f"vertex {v} out of range 1..{nv}")
-    for lab in candidate.labels:
-        if not 1 <= lab <= t.n_labels:
-            raise InputError(f"label {lab} out of range 1..{t.n_labels}")
-    if len(candidate.vertices) != len(candidate.labels) + 1:
+    for lab in labels:
+        if not 1 <= lab <= n_labels:
+            raise InputError(f"label {lab} out of range 1..{n_labels}")
+    if len(vertices) != len(labels) + 1:
         raise InputError(
-            f"{len(candidate.labels)} labels need {len(candidate.labels) + 1} vertices, "
-            f"got {len(candidate.vertices)}"
+            f"{len(labels)} labels need {len(labels) + 1} vertices, got {len(vertices)}"
         )
 
-    if candidate.vertices[0] != source or candidate.vertices[-1] != target:
+    if vertices[0] != source or vertices[-1] != target:
         return PathCheck(False, 1, "path must run from the source vertex to the target")
-    for k, lab in enumerate(candidate.labels, start=1):
-        arc = t.arc(lab)
-        if {arc.u, arc.v} != {candidate.vertices[k - 1], candidate.vertices[k]}:
-            return PathCheck(
-                False, 2, f"edge {lab} does not join {candidate.vertices[k - 1]} and {candidate.vertices[k]}"
-            )
-    if len(set(candidate.labels)) != len(candidate.labels):
+    edges = t.edges
+    for lab, a, b in zip(labels, vertices, vertices[1:]):
+        arc = edges[lab - 1]
+        if not (arc.u == a and arc.v == b or arc.u == b and arc.v == a):
+            return PathCheck(False, 2, f"edge {lab} does not join {a} and {b}")
+    if len(set(labels)) != len(labels):
         return PathCheck(False, 3, "repeated edge label")
-    if candidate.length % 2 == 0:
-        return PathCheck(False, 4, f"even length {candidate.length}")
-
-    keys = {
-        lab: crossing_position(t.arc(lab), source, target, nv)
-        for lab in candidate.labels
-        if crosses(t.arc(lab), chord, nv)
-    }
-    for k, lab in enumerate(candidate.labels, start=1):
-        if k % 2 == 0 and lab not in keys:
+    if len(labels) % 2 == 0:
+        return PathCheck(False, 4, f"even length {len(labels)}")
+    for lab in labels[1::2]:
+        if lab not in keys:
             return PathCheck(False, 5, f"even-position edge {lab} does not cross the chord")
     last = None
-    for lab in candidate.labels:
+    for lab in labels:
         key = keys.get(lab)
         if key is None:
             continue
@@ -128,15 +150,12 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
     next position and the crossing key of the last chord-crossing edge; any new
     crossing edge must cross strictly later, and even positions must cross.
     Emission happens at every odd-length arrival at the target, and the branch
-    keeps extending afterwards.
+    keeps extending afterwards.  Every emitted path is checked against the six
+    rules, from the same crossing table the search prunes with; a path that
+    fails raises ``InvariantError``.
     """
-    _require_endpoints(t, source, target)
-    nv = t.n_vertices
-    cross_key = {
-        lab: crossing_position(t.arc(lab), source, target, nv)
-        for lab in t.crossing_labels(Arc(source, target))
-    }
-    incidence = {v: t.incident_labels(v) for v in range(1, nv + 1)}
+    keys = crossing_keys(t, source, target)
+    incidence = {v: t.incident_labels(v) for v in range(1, t.n_vertices + 1)}
     arcs = t.edges
     out: list[TPath] = []
     vertices = [source]
@@ -148,7 +167,7 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
             bit = 1 << lab
             if used & bit:
                 continue
-            key = cross_key.get(lab)
+            key = keys.get(lab)
             if key is None:
                 if not odd_position:
                     continue
@@ -159,7 +178,11 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
             vertices.append(nxt)
             if nxt == target and len(labels) % 2 == 1:
                 path = TPath(tuple(vertices), tuple(labels))
-                assert is_valid_t_path(t, source, target, path).ok
+                check = is_valid_t_path(t, source, target, path, keys=keys)
+                if not check.ok:
+                    raise InvariantError(
+                        f"enumerated {path} breaks rule {check.violated}: {check.detail}"
+                    )
                 out.append(path)
             extend(nxt, used | bit, key if key is not None else last_key)
             labels.pop()
@@ -180,7 +203,7 @@ def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPat
         raise ResourceLimitError(
             f"brute-force enumeration is guarded at rank {MAX_BRUTE_FORCE_RANK}, got {t.n}"
         )
-    _require_endpoints(t, source, target)
+    keys = crossing_keys(t, source, target)
     incidence = {v: t.incident_labels(v) for v in range(1, t.n_vertices + 1)}
     arcs = t.edges
     out: list[TPath] = []
@@ -197,7 +220,7 @@ def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPat
             vertices.append(nxt)
             if nxt == target and len(labels) % 2 == 1:
                 path = TPath(tuple(vertices), tuple(labels))
-                if is_valid_t_path(t, source, target, path).ok:
+                if is_valid_t_path(t, source, target, path, keys=keys).ok:
                     out.append(path)
             extend(nxt, used | bit)
             labels.pop()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .expansion import (
     check_bijections_fg,
     check_partitions,
@@ -134,7 +134,7 @@ def _check_denominators(triangulations, diagonals) -> CheckRow:
             checked += 1
             try:
                 denominator_vector(t, chord)
-            except AssertionError:
+            except InvariantError:
                 return CheckRow(
                     "denominator-vectors", checked, "fail", f"{chord} in {t.diagonal_key()}"
                 )

@@ -1,7 +1,13 @@
 """Shared fixtures and frozen golden data for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ptolemy
 from ptolemy import LaurentPolynomial, build_triangulation
 
 # The worked octagon instance used throughout: rank 5, five labeled diagonals,
@@ -78,3 +84,20 @@ def octagon():
 @pytest.fixture
 def square():
     return build_triangulation(1, [(1, 3)])
+
+
+def run_optimized(code):
+    """Run code under ``python -O``, with the package and the tests importable; return stdout."""
+    src = Path(ptolemy.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    guard = "import sys\nif not sys.flags.optimize:\n    sys.exit('asserts are enabled')\n"
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", guard + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout

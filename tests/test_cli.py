@@ -218,6 +218,28 @@ class TestSpecFile:
         assert "vertex pair" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"n": "five", "diagonals": [[1, 3]], "target": [2, 4]},
+        {"n": True, "diagonals": [[1, 3]], "target": [2, 4]},
+        {"n": 1.0, "diagonals": [[1, 3]], "target": [2, 4]},
+        {"n": 1, "diagonals": [["a", 3]], "target": [2, 4]},
+        {"n": 1, "diagonals": 5, "target": [2, 4]},
+        {"n": 1, "diagonals": [[1, 3]], "target": [1, "x"]},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "orient": "x"},
+    ],
+    ids=["n-string", "n-bool", "n-float", "diagonal-string", "diagonals-int", "target-string",
+         "orient-string"],
+)
+def test_malformed_spec_values_exit_two(capsys, tmp_path, spec):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "expand", "--spec-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: spec-file ") and err.count("\n") == 1
+
+
 class TestInputErrors:
     def test_crossing_diagonals(self, capsys):
         code, _, err = run_cli(

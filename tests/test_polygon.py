@@ -43,8 +43,14 @@ class TestCrosses:
         assert not crosses(Arc(2, 4), Arc(4, 6), 8)
 
     def test_invalid_vertex(self):
-        with pytest.raises(InputError):
-            crosses(Arc(2, 9), Arc(3, 7), 8)
+        for d1, d2 in [
+            (Arc(2, 9), Arc(3, 7)),
+            (Arc(3, 7), Arc(2, 9)),
+            (Arc(0, 4), Arc(3, 7)),
+            (Arc(3, 7), Arc(-1, 5)),
+        ]:
+            with pytest.raises(InputError):
+                crosses(d1, d2, 8)
 
     def test_symmetry_self_and_boundary_exhaustive(self):
         nv = 8

@@ -2,10 +2,13 @@
 
 import pytest
 
+import ptolemy.tpaths
 from ptolemy import (
     Arc,
     InputError,
+    InvariantError,
     Monomial,
+    PathCheck,
     ResourceLimitError,
     TPath,
     all_polygon_diagonals,
@@ -15,7 +18,8 @@ from ptolemy import (
     is_valid_t_path,
     path_weight,
 )
-from conftest import OCTAGON_PATHS, exponents
+from ptolemy.tpaths import crossing_keys
+from conftest import OCTAGON_PATHS, exponents, run_optimized
 
 
 def small_instances(max_rank):
@@ -63,6 +67,29 @@ class TestValidator:
         path = TPath((3, 2, 6, 4, 2, 8, 6, 7), (7, 3, 2, 1, 4, 5, 11))
         check = is_valid_t_path(octagon, 3, 7, path)
         assert not check.ok and check.violated == 6
+
+    @pytest.mark.parametrize(
+        "vertices, labels, rule",
+        [
+            ((3, 2, 6, 7), (7, 3, 11), None),
+            ((2, 6, 7), (3, 11), 1),
+            ((3, 2, 6, 7), (7, 4, 11), 2),
+            ((3, 2, 3, 2, 6, 7), (7, 7, 7, 3, 11), 3),
+            ((3, 2, 6, 8, 7), (7, 3, 5, 12), 4),
+            ((3, 2, 8, 7), (7, 4, 12), 5),
+            ((3, 2, 6, 4, 2, 8, 6, 7), (7, 3, 2, 1, 4, 5, 11), 6),
+        ],
+    )
+    def test_prebuilt_table_reports_the_same_rule(self, octagon, vertices, labels, rule):
+        path = TPath(vertices, labels)
+        keys = crossing_keys(octagon, 3, 7)
+        assert is_valid_t_path(octagon, 3, 7, path, keys=keys) == is_valid_t_path(octagon, 3, 7, path)
+        assert is_valid_t_path(octagon, 3, 7, path, keys=keys).violated == rule
+
+    def test_crossing_keys_list_the_crossing_diagonals(self, octagon):
+        keys = crossing_keys(octagon, 3, 7)
+        assert list(keys) == octagon.crossing_labels(Arc(3, 7))
+        assert sorted(keys, key=keys.get) == octagon.crossing_labels_from(Arc(3, 7), 3)
 
     def test_malformed_input(self, octagon):
         with pytest.raises(InputError):
@@ -113,6 +140,31 @@ class TestEnumerate:
                 even = p.labels[1::2]
                 assert len(even) <= len(crossing)
                 assert set(even) <= crossing
+
+
+def reject_every_path(t, source, target, candidate, *, keys=None):
+    """Stand-in rule checker that turns down every path."""
+    return PathCheck(False, 5, "injected fault")
+
+
+class TestEmissionCheck:
+    def test_rejected_path_raises(self, monkeypatch, octagon):
+        monkeypatch.setattr(ptolemy.tpaths, "is_valid_t_path", reject_every_path)
+        with pytest.raises(InvariantError, match="breaks rule 5: injected fault"):
+            enumerate_t_paths(octagon, 3, 7)
+
+    def test_rejected_path_raises_under_optimization(self):
+        out = run_optimized(
+            "import ptolemy.tpaths, test_tpaths\n"
+            "from ptolemy import InvariantError, build_triangulation\n"
+            "from conftest import OCTAGON_DIAGONALS\n"
+            "ptolemy.tpaths.is_valid_t_path = test_tpaths.reject_every_path\n"
+            "try:\n"
+            "    ptolemy.tpaths.enumerate_t_paths(build_triangulation(5, OCTAGON_DIAGONALS), 3, 7)\n"
+            "except InvariantError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert "breaks rule 5: injected fault" in out
 
 
 class TestBruteForce:

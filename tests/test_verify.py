@@ -2,8 +2,28 @@
 
 import pytest
 
-from ptolemy import InputError
+import ptolemy.expansion
+from ptolemy import InputError, LaurentPolynomial, all_polygon_diagonals, all_triangulations
 from ptolemy.verify import CheckRow, all_pass, render_report, run_checks
+from conftest import run_optimized
+
+_honest_expand = ptolemy.expansion.expand
+
+
+def skewed_expand(t, chord, origin=None):
+    """expand with every multi-term result times x1, so x1's denominator is wrong."""
+    poly = _honest_expand(t, chord, origin)
+    return poly * LaurentPolynomial.variable(1, t.n_labels) if len(poly) > 1 else poly
+
+
+def _first_chord_crossing_label_1(n):
+    # The first sweep instance whose x1 denominator the skew removes.
+    return next(
+        f"{chord} in {t.diagonal_key()}"
+        for t in all_triangulations(n)
+        for chord in all_polygon_diagonals(n)
+        if 1 in t.crossing_labels(chord)
+    )
 
 
 def test_quick_level_square():
@@ -61,3 +81,23 @@ def test_report_rendering_flags_failures():
     assert "RESULT: FAIL" in text
     assert "boom" in text
     assert all_pass([rows[0], rows[2]])
+
+
+def test_denominator_row_fails_on_a_faulty_expansion(monkeypatch):
+    monkeypatch.setattr(ptolemy.expansion, "expand", skewed_expand)
+    (row,) = [row for row in run_checks(2, "quick") if row.name == "denominator-vectors"]
+    assert row.status == "fail"
+    assert row.detail == _first_chord_crossing_label_1(2)
+
+
+def test_denominator_row_fails_under_optimization():
+    out = run_optimized(
+        "import ptolemy.expansion, test_verify\n"
+        "from ptolemy.verify import run_checks\n"
+        "ptolemy.expansion.expand = test_verify.skewed_expand\n"
+        "for row in run_checks(2, 'quick'):\n"
+        "    if row.name == 'denominator-vectors':\n"
+        "        print(row.status)\n"
+        "        print(row.detail)\n"
+    )
+    assert out.splitlines() == ["fail", _first_chord_crossing_label_1(2)]
