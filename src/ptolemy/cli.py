@@ -24,6 +24,7 @@ from .tpaths import enumerate_t_paths
 from .verify import LEVELS, all_pass, render_report, run_checks
 
 FORMAT_VERSION = 1
+FORMATS = ("text", "structured")
 # Vertices 1..n+3 counterclockwise; diagonals labeled 1..n, boundary {k,k+1} -> n+k.
 LABELING = "ccw-1based/boundary-n+k/v1"
 
@@ -118,11 +119,19 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     if orient is None and data.get("orient") is not None:
         orient = _spec_int(data["orient"], "orient")
 
-    trivial = bool(getattr(args, "trivial_coefficients", False) or data.get("trivial_coefficients"))
-    fmt = getattr(args, "format", None) or data.get("format") or "text"
+    trivial = getattr(args, "trivial_coefficients", False)
+    if not trivial and data.get("trivial_coefficients") is not None:
+        trivial = data["trivial_coefficients"]
+        if not isinstance(trivial, bool):
+            raise InputError(f"spec-file trivial_coefficients must be true or false, got {trivial!r}")
+    fmt = getattr(args, "format", None)
+    if fmt is None and data.get("format") is not None:
+        fmt = data["format"]
+        if fmt not in FORMATS:
+            raise InputError(f"spec-file format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     if diagonals is None:
         raise InputError("no diagonals given (use --diagonals or the spec file)")
-    return ProblemSpec(n, diagonals, target, orient, trivial, fmt)
+    return ProblemSpec(n, diagonals, target, orient, trivial, fmt or "text")
 
 
 def _expansion_payload(spec: ProblemSpec, chord: Arc, origin: int, poly: LaurentPolynomial) -> dict:
@@ -314,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     problem.add_argument("--spec-file", default=None, help="JSON problem description")
     problem.add_argument(
-        "--format", choices=("text", "structured"), default=None, help="output format"
+        "--format", choices=FORMATS, default=None, help="output format"
     )
 
     target = argparse.ArgumentParser(add_help=False)
@@ -352,12 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tri = sub.add_parser("triangulations", help="list every triangulation of the polygon")
     p_tri.add_argument("--n", type=int, required=True)
-    p_tri.add_argument("--format", choices=("text", "structured"), default=None)
+    p_tri.add_argument("--format", choices=FORMATS, default=None)
     p_tri.set_defaults(func=_cmd_triangulations)
 
     p_graph = sub.add_parser("graph", help="export the flip graph")
     p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--format", choices=("text", "structured"), default=None)
+    p_graph.add_argument("--format", choices=FORMATS, default=None)
     p_graph.set_defaults(func=_cmd_graph)
 
     return parser

@@ -83,7 +83,8 @@ def _paths_between(t: Triangulation, source: int, target: int) -> list[TPath]:
     boundary = Arc(source, target)
     if boundary.is_boundary(t.n_vertices):
         label = t.label_of(boundary)
-        assert label is not None
+        if label is None:
+            raise InvariantError(f"boundary edge {boundary} has no label")
         return [TPath((source, target), (label,))]
     return enumerate_t_paths(t, source, target)
 

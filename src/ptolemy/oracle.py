@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .laurent import LaurentPolynomial, TropicalMonomial
 from .polygon import Arc, Triangulation, first_crossing_step
 
@@ -47,7 +47,8 @@ def exchange_matrix(t: Triangulation) -> ExchangeMatrix:
     rows = [[0] * n for _ in range(t.n_labels)]
     def label(a: int, b: int) -> int:
         lab = t.label_of(Arc(a, b))
-        assert lab is not None, "triangle sides always belong to the triangulation"
+        if lab is None:
+            raise InvariantError(f"side {Arc(a, b)} of a triangle has no label")
         return lab
 
     for u, v, w in t.triangles:
@@ -143,7 +144,8 @@ def cluster_variable_recursive(
             poly = LaurentPolynomial.variable(label, nvars)
         else:
             step = first_crossing_step(t, current, anchor)
-            assert step is not None, f"{current} is not in the triangulation yet crosses nothing"
+            if step is None:
+                raise InvariantError(f"{current} is not in the triangulation yet crosses nothing")
             numerator = LaurentPolynomial.variable(step.cw_side, nvars) * resolve(
                 step.ccw_far, step.ccw_far.u
             ) + LaurentPolynomial.variable(step.ccw_side, nvars) * resolve(

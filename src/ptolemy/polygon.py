@@ -14,10 +14,11 @@ is exact and every ordering total on its intended inputs.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 
 # Largest rank accepted by the exhaustive enumerators (11-gon, 4862 triangulations).
 MAX_ENUMERATION_RANK = 8
@@ -140,6 +141,30 @@ def crosses_before(d1: Arc, d2: Arc, chord: Arc, origin: int, n_vertices: int) -
     return k1 < k2
 
 
+def _flip_corners(
+    present: Container[tuple[int, int]], u: int, v: int, n_vertices: int
+) -> tuple[tuple[int, int, int, int], tuple[int, int]]:
+    """Corners, ascending, and the other diagonal of the quadrilateral around {u, v}.
+
+    ``present`` holds every arc of a triangulation, boundary edges included,
+    as ascending vertex pairs; the diagonal {u, v} (u < v) must be one of them.
+    The two apexes are the vertices joined to both u and v.
+    """
+    apexes = [
+        w
+        for w in range(1, n_vertices + 1)
+        if w != u
+        and w != v
+        and ((w, u) if w < u else (u, w)) in present
+        and ((w, v) if w < v else (v, w)) in present
+    ]
+    if len(apexes) != 2:
+        raise InvariantError(f"diagonal {u}-{v} bounds {len(apexes)} triangles, expected 2")
+    p0, p1, p2, p3 = sorted((u, v, *apexes))
+    replacement = (p1, p3) if (u, v) == (p0, p2) else (p0, p2)
+    return (p0, p1, p2, p3), replacement
+
+
 @dataclass(frozen=True)
 class FlipQuadrilateral:
     """The quadrilateral formed by the two triangles adjacent to a diagonal.
@@ -245,14 +270,14 @@ class Triangulation:
         return tuple(sorted(self.diagonal_arcs()))
 
     @cached_property
-    def _label_by_arc(self) -> dict[Arc, int]:
-        return {arc: i + 1 for i, arc in enumerate(self.edges)}
+    def _label_by_pair(self) -> dict[tuple[int, int], int]:
+        return {(arc.u, arc.v): i + 1 for i, arc in enumerate(self.edges)}
 
     def label_of(self, arc: Arc) -> int | None:
-        return self._label_by_arc.get(arc)
+        return self._label_by_pair.get((arc.u, arc.v))
 
     def contains(self, arc: Arc) -> bool:
-        return arc in self._label_by_arc
+        return (arc.u, arc.v) in self._label_by_pair
 
     @cached_property
     def _incidence(self) -> dict[int, tuple[int, ...]]:
@@ -269,15 +294,15 @@ class Triangulation:
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """All triangles, as ascending vertex triples in ascending order."""
-        present = self._label_by_arc
+        present = self._label_by_pair
         out = []
         nv = self.n_vertices
         for u in range(1, nv - 1):
             for v in range(u + 1, nv):
-                if Arc(u, v) not in present:
+                if (u, v) not in present:
                     continue
                 for w in range(v + 1, nv + 1):
-                    if Arc(u, w) in present and Arc(v, w) in present:
+                    if (u, w) in present and (v, w) in present:
                         out.append((u, v, w))
         return tuple(out)
 
@@ -286,25 +311,17 @@ class Triangulation:
         if not 1 <= k <= self.n:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
-        apexes = [
-            w
-            for w in range(1, self.n_vertices + 1)
-            if w not in (d.u, d.v)
-            and self.contains(Arc(w, d.u))
-            and self.contains(Arc(w, d.v))
-        ]
-        assert len(apexes) == 2, f"diagonal {d} should bound exactly two triangles"
-        corners = tuple(sorted((d.u, d.v, *apexes)))
+        corners, replacement = _flip_corners(self._label_by_pair, d.u, d.v, self.n_vertices)
         p0, p1, p2, p3 = corners
-        replacement = Arc(p1, p3) if d == Arc(p0, p2) else Arc(p0, p2)
 
         def side(a: int, b: int) -> int:
             lab = self.label_of(Arc(a, b))
-            assert lab is not None, "quadrilateral sides always belong to the triangulation"
+            if lab is None:
+                raise InvariantError(f"side {Arc(a, b)} of the quadrilateral at {d} has no label")
             return lab
 
         pairs = ((side(p0, p1), side(p2, p3)), (side(p1, p2), side(p3, p0)))
-        return FlipQuadrilateral(k, corners, replacement, pairs)
+        return FlipQuadrilateral(k, corners, Arc(*replacement), pairs)
 
     def flip(self, k: int) -> "Triangulation":
         """Replace the diagonal labeled k by the other diagonal of its quadrilateral."""
@@ -414,12 +431,14 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
             ccw_corner = x
         else:
             cw_corner = x
-    assert ccw_corner is not None and cw_corner is not None
+    if ccw_corner is None or cw_corner is None:
+        raise InvariantError(f"pivot {pivot_arc} does not cross {origin}-{target}")
     ccw_side = t.label_of(Arc(origin, ccw_corner))
     cw_side = t.label_of(Arc(origin, cw_corner))
     # The triangle on the origin side of the nearest crossing has apex origin,
     # so both sides exist in the triangulation.
-    assert ccw_side is not None and cw_side is not None
+    if ccw_side is None or cw_side is None:
+        raise InvariantError(f"triangle at {origin} before pivot {pivot_arc} lacks a side")
     return CrossingStep(
         origin=origin,
         target=target,
@@ -444,16 +463,13 @@ def all_polygon_diagonals(n: int) -> list[Arc]:
     )
 
 
-def _canonical(t: Triangulation) -> Triangulation:
-    return build_triangulation(t.n, [arc.endpoints() for arc in t.diagonal_key()])
-
-
 def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     """All triangulations of the (n+3)-gon and the flips connecting them.
 
-    Produced by breadth-first flips from the snake triangulation, deduplicated
-    by diagonal arc-set; nodes come back sorted by that arc-set with labels
-    canonicalized to sorted order, edges as index pairs into the node list.
+    Produced by breadth-first flips from the fan at vertex 1 over sorted
+    diagonal vertex-pair sets; nodes come back sorted by that set with labels
+    canonicalized to sorted order, each validated once on construction, and
+    edges as index pairs into the node list.
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
@@ -461,23 +477,25 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
         raise ResourceLimitError(
             f"exhaustive enumeration is guarded at rank {MAX_ENUMERATION_RANK}, got {n}"
         )
-    start = _canonical(snake_triangulation(n))
-    keys = {start.diagonal_key(): start}
-    edge_keys: set[tuple[tuple[Arc, ...], tuple[Arc, ...]]] = set()
+    nv = n + 3
+    boundary = {(k, k + 1) for k in range(1, nv)} | {(1, nv)}
+    start = tuple((1, v) for v in range(3, nv))
+    seen = {start}
+    edge_keys = set()
     queue = deque([start])
     while queue:
-        t = queue.popleft()
-        for k in range(1, n + 1):
-            neighbor = _canonical(t.flip(k))
-            nk = neighbor.diagonal_key()
-            if nk not in keys:
-                keys[nk] = neighbor
+        key = queue.popleft()
+        present = boundary.union(key)
+        for i, (u, v) in enumerate(key):
+            _, replacement = _flip_corners(present, u, v, nv)
+            neighbor = tuple(sorted(key[:i] + (replacement,) + key[i + 1 :]))
+            if neighbor not in seen:
+                seen.add(neighbor)
                 queue.append(neighbor)
-            a, b = sorted((t.diagonal_key(), nk))
-            edge_keys.add((a, b))
-    order = sorted(keys)
+            edge_keys.add((key, neighbor) if key < neighbor else (neighbor, key))
+    order = sorted(seen)
     index = {key: i for i, key in enumerate(order)}
-    nodes = [keys[key] for key in order]
+    nodes = [build_triangulation(n, list(key)) for key in order]
     edges = sorted((index[a], index[b]) for a, b in edge_keys)
     return nodes, edges
 

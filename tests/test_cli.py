@@ -228,9 +228,16 @@ class TestSpecFile:
         {"n": 1, "diagonals": 5, "target": [2, 4]},
         {"n": 1, "diagonals": [[1, 3]], "target": [1, "x"]},
         {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "orient": "x"},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "format": "xml"},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "format": ["text"]},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "trivial_coefficients": "no"},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "trivial_coefficients": 1},
+        {"n": 1, "diagonals": [[1, 3]], "target": [2, 4], "trivial_coefficients": "no",
+         "format": "xml"},
     ],
     ids=["n-string", "n-bool", "n-float", "diagonal-string", "diagonals-int", "target-string",
-         "orient-string"],
+         "orient-string", "format-unknown", "format-list", "trivial-string", "trivial-int",
+         "trivial-and-format"],
 )
 def test_malformed_spec_values_exit_two(capsys, tmp_path, spec):
     path = tmp_path / "problem.json"

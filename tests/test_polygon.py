@@ -1,5 +1,7 @@
 """Polygon combinatorics: crossing predicate, triangulations, flips, orderings."""
 
+from collections import Counter
+
 import pytest
 
 from ptolemy import (
@@ -295,3 +297,25 @@ class TestFlipGraph:
             degree[i] += 1
             degree[j] += 1
         assert all(d == 2 for d in degree.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_backtracking_oracle(self, n):
+        nodes, edges = flip_graph(n)
+        oracle = sorted(_maximal_noncrossing_sets(n))
+        assert [t.diagonal_key() for t in nodes] == oracle
+        assert all(t.diagonal_arcs() == t.diagonal_key() for t in nodes)
+        sets = [set(key) for key in oracle]
+        one_apart = [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+            if len(sets[i] - sets[j]) == 1
+        ]
+        assert edges == one_apart
+
+    def test_rank_seven_is_regular(self):
+        nodes, edges = flip_graph(7)
+        degree = Counter(v for edge in edges for v in edge)
+        assert len(nodes) == 1430
+        assert sorted(degree) == list(range(1430))
+        assert set(degree.values()) == {7}
