@@ -11,6 +11,7 @@ path so a search bug is diagnosable, not just detectable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import InputError, InvariantError
@@ -18,14 +19,21 @@ from .laurent import LaurentPolynomial, Monomial
 from .polygon import Arc, CrossingStep, Triangulation, first_crossing_step
 from .tpaths import TPath, enumerate_t_paths, path_weight
 
+# {(source, target): enumerate_t_paths(t, source, target)} on one triangulation.
+PathTable = Mapping[tuple[int, int], Sequence[TPath]]
 
-def expand(t: Triangulation, chord: Arc, origin: int | None = None) -> LaurentPolynomial:
+
+def expand(
+    t: Triangulation, chord: Arc, origin: int | None = None, *, paths: PathTable | None = None
+) -> LaurentPolynomial:
     """Laurent polynomial of the chord in the triangulation's variables.
 
     ``origin`` picks which endpoint anchors the crossing order during
     enumeration; the result is independent of the choice (asserted by the
     test suite, not assumed here) and defaults to the smaller endpoint.
-    A chord already in the triangulation is its own variable.
+    A chord already in the triangulation is its own variable.  The paths are
+    read from the table ``paths`` when given (it is never changed), else
+    enumerated.
     """
     nv = t.n_vertices
     chord.validate(nv)
@@ -39,8 +47,8 @@ def expand(t: Triangulation, chord: Arc, origin: int | None = None) -> LaurentPo
     label = t.label_of(chord)
     if label is not None:
         return LaurentPolynomial.variable(label, nvars)
-    paths = enumerate_t_paths(t, origin, chord.other_end(origin))
-    return LaurentPolynomial.from_monomials(nvars, (path_weight(p, nvars) for p in paths))
+    found = _paths_between(t, origin, chord.other_end(origin), paths=paths)
+    return LaurentPolynomial.from_monomials(nvars, (path_weight(p, nvars) for p in found))
 
 
 def expand_trivial_coefficients(
@@ -56,16 +64,18 @@ def check_positivity(poly: LaurentPolynomial) -> bool:
     return all(coeff == 1 for coeff in poly.coefficients())
 
 
-def denominator_vector(t: Triangulation, chord: Arc) -> tuple[int, ...]:
+def denominator_vector(
+    t: Triangulation, chord: Arc, *, paths: PathTable | None = None
+) -> tuple[int, ...]:
     """Per-variable denominator exponents of the chord's expansion.
 
     Entry i is the largest power of 1/x_i appearing in any term (0 when x_i
     never appears inverted).  The result must coincide with the indicator of
     which diagonals cross the chord, with every boundary entry zero; a
     mismatch means the enumeration itself is broken and raises
-    ``InvariantError``.
+    ``InvariantError``.  ``paths`` is as for ``expand``.
     """
-    poly = expand(t, chord)
+    poly = expand(t, chord, paths=paths)
     vec = tuple(max(0, -poly.min_exponent(i)) for i in range(1, t.n_labels + 1))
     crossing = set(t.crossing_labels(chord))
     expected = tuple(1 if i in crossing else 0 for i in range(1, t.n_labels + 1))
@@ -74,11 +84,14 @@ def denominator_vector(t: Triangulation, chord: Arc) -> tuple[int, ...]:
     return vec
 
 
-def _paths_between(t: Triangulation, source: int, target: int) -> list[TPath]:
-    """Path set between any two distinct vertices.
+def _paths_between(
+    t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
+) -> Sequence[TPath]:
+    """Path set between any two distinct vertices, read from ``paths`` when given.
 
     Adjacent vertices get the single one-edge path along their boundary edge,
-    which is what the one-step exchange identity needs for its far sides.
+    which is what the one-step exchange identity needs for its far sides; a
+    table holds diagonals only.
     """
     boundary = Arc(source, target)
     if boundary.is_boundary(t.n_vertices):
@@ -86,7 +99,9 @@ def _paths_between(t: Triangulation, source: int, target: int) -> list[TPath]:
         if label is None:
             raise InvariantError(f"boundary edge {boundary} has no label")
         return [TPath((source, target), (label,))]
-    return enumerate_t_paths(t, source, target)
+    if paths is None:
+        return enumerate_t_paths(t, source, target)
+    return paths[source, target]
 
 
 def _step_or_raise(t: Triangulation, source: int, target: int) -> CrossingStep:
@@ -110,15 +125,18 @@ class PartitionReport:
     failures: list[str] = field(default_factory=list)
 
 
-def check_partitions(t: Triangulation, source: int, target: int) -> PartitionReport:
+def check_partitions(
+    t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
+) -> PartitionReport:
     """Every path starts with one of the two triangle sides at the source, and
-    each family splits by whether the pivot comes second or never appears."""
+    each family splits by whether the pivot comes second or never appears.
+    ``paths`` is as for ``expand``."""
     step = _step_or_raise(t, source, target)
-    paths = enumerate_t_paths(t, source, target)
+    found = _paths_between(t, source, target, paths=paths)
     first_edges = (step.cw_side, step.ccw_side)
     by_first = {step.cw_side: 0, step.ccw_side: 0}
     failures = []
-    for path in paths:
+    for path in found:
         first = path.labels[0]
         if first not in by_first:
             failures.append(f"{path} starts with edge {first}, not one of {first_edges}")
@@ -134,7 +152,7 @@ def check_partitions(t: Triangulation, source: int, target: int) -> PartitionRep
         ok=not failures,
         pivot=step.pivot,
         first_edges=first_edges,
-        total=len(paths),
+        total=len(found),
         by_first=by_first,
         failures=failures,
     )
@@ -157,7 +175,9 @@ def _weight_ratio(nvars: int, up: int, down: int) -> Monomial:
     return Monomial(1, tuple(exps))
 
 
-def check_bijections_fg(t: Triangulation, source: int, target: int) -> BijectionReport:
+def check_bijections_fg(
+    t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
+) -> BijectionReport:
     """Verify the two weight-preserving bijections behind the one-step recursion.
 
     Paths from a quadrilateral corner to the target map into the family of
@@ -167,13 +187,14 @@ def check_bijections_fg(t: Triangulation, source: int, target: int) -> Bijection
     must land in the claimed subfamilies, be distinct, jointly exhaust the
     family, and scale each weight by side/pivot; the two sides together must
     also account for every source path and for the summed polynomials.
+    ``paths`` is as for ``expand``; the corner path sets are read from it too.
     """
     step = _step_or_raise(t, source, target)
     nvars = t.n_labels
-    paths = enumerate_t_paths(t, source, target)
-    path_set = set(paths)
+    found = _paths_between(t, source, target, paths=paths)
+    path_set = set(found)
     failures: list[str] = []
-    counts: dict[str, int] = {"total": len(paths)}
+    counts: dict[str, int] = {"total": len(found)}
     family_sum: dict[int, LaurentPolynomial] = {}
     corner_total = 0
 
@@ -184,9 +205,9 @@ def check_bijections_fg(t: Triangulation, source: int, target: int) -> Bijection
         (step.cw_corner, step.ccw_side, step.ccw_corner),
     )
     for corner, side, via in sides:
-        corner_paths = _paths_between(t, corner, target)
+        corner_paths = _paths_between(t, corner, target, paths=paths)
         corner_total += len(corner_paths)
-        family = [p for p in paths if p.labels[0] == side]
+        family = [p for p in found if p.labels[0] == side]
         family_sum[side] = LaurentPolynomial.from_monomials(
             nvars, (path_weight(p, nvars) for p in family)
         )
@@ -231,8 +252,8 @@ def check_bijections_fg(t: Triangulation, source: int, target: int) -> Bijection
         if transported != family_sum[side]:
             failures.append(f"summed weights from corner {corner} mismatch family {side}")
 
-    if corner_total != len(paths):
+    if corner_total != len(found):
         failures.append(
-            f"corner path counts {corner_total} do not add up to {len(paths)}"
+            f"corner path counts {corner_total} do not add up to {len(found)}"
         )
     return BijectionReport(ok=not failures, pivot=step.pivot, counts=counts, failures=failures)

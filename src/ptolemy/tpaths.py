@@ -232,9 +232,13 @@ def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPat
 
 def path_weight(path: TPath, nvars: int) -> Monomial:
     """The path's monomial: odd-position labels up, even-position labels down."""
+    labels = path.labels
+    if labels and (min(labels) < 1 or max(labels) > nvars):
+        bad = next(lab for lab in labels if not 1 <= lab <= nvars)
+        raise InputError(f"label {bad} out of range 1..{nvars}")
     exps = [0] * nvars
-    for k, lab in enumerate(path.labels, start=1):
-        if not 1 <= lab <= nvars:
-            raise InputError(f"label {lab} out of range 1..{nvars}")
-        exps[lab - 1] += 1 if k % 2 == 1 else -1
+    for lab in labels[::2]:
+        exps[lab - 1] += 1
+    for lab in labels[1::2]:
+        exps[lab - 1] -= 1
     return Monomial(1, tuple(exps))

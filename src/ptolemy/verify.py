@@ -1,10 +1,16 @@
 """Exhaustive verification sweeps over every triangulation of one polygon.
 
-Each check runs over all triangulations of the (n+3)-gon and all diagonals
-(both orientations where orientation matters) and reports a pass/fail row;
-the quick level covers the expansion/recursion agreement and its structural
-consequences, the full level adds the path-set oracle and the partition and
-bijection checks at the ranks where their guards allow.
+One pass visits every triangulation of the (n+3)-gon and, in it, every
+diagonal once.  Per triangulation it enumerates the paths for both
+orientations of every diagonal into one table, which every row reads through
+the ``paths=`` argument of the expansion checks.  The exchange recursion keeps
+its memo per call, one call per orientation, so the agreement row still tests
+that the expansion does not depend on the orientation.  Each row counts its
+instances (both orientations where orientation matters) and stops at its first
+failure, as if it ran alone.  The quick level covers the expansion/recursion
+agreement and its structural consequences; the full level adds the path-set
+oracle and the partition and bijection checks at the ranks where their guards
+allow.
 """
 
 from __future__ import annotations
@@ -44,17 +50,74 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         raise InputError(f"verification sweeps accept ranks 1..{MAX_ENUMERATION_RANK}, got {n}")
     triangulations = all_triangulations(n)
     diagonals = all_polygon_diagonals(n)
-    rows = [
-        _check_counts(n, triangulations),
-        _check_expansion_vs_recursion(triangulations, diagonals),
-        _check_term_structure(triangulations, diagonals),
-        _check_denominators(triangulations, diagonals),
-    ]
+    found, expected = len(triangulations), TRIANGULATION_COUNTS[n]
+    status = "pass" if found == expected else "fail"
+    rows = [CheckRow("triangulation-count", 1, status, f"{found} of {expected}")]
+    recursion, units, denominators = (
+        CheckRow(name, 0, "pass")
+        for name in ("expansion-vs-recursion", "unit-coefficients", "denominator-vectors")
+    )
+    rows += [recursion, units, denominators]
+    oracle = partitions = bijections = None
     if level == "full":
-        rows.append(_check_enumerator_oracle(n, triangulations, diagonals))
-        rows.append(_check_partitions(triangulations, diagonals))
-        rows.append(_check_bijections(triangulations, diagonals))
+        oracle = CheckRow("enumeration-vs-brute-force", 0, "pass")
+        if n > MAX_BRUTE_FORCE_RANK:
+            oracle.status, oracle.detail = "skip", f"guarded to rank {MAX_BRUTE_FORCE_RANK}"
+        partitions = CheckRow("first-edge-partition", 0, "pass")
+        bijections = CheckRow("start-edge-bijections", 0, "pass")
+        rows += [oracle, partitions, bijections]
+
+    for t in triangulations:
+        key = t.diagonal_key()
+        table = {
+            (source, target): enumerate_t_paths(t, source, target)
+            for chord in diagonals
+            for source, target in ((chord.u, chord.v), (chord.v, chord.u))
+        }
+        for chord in diagonals:
+            where = f"{chord} in {key}"
+            seeded = t.contains(chord)
+            if _running(recursion):
+                polys = [expand(t, chord, o, paths=table) for o in chord.endpoints()]
+                polys += [cluster_variable_recursive(t, chord, o) for o in chord.endpoints()]
+                _tally(recursion, where if any(p != polys[0] for p in polys[1:]) else None)
+            if _running(units) and not seeded:
+                poly = expand(t, chord, paths=table)
+                ok = check_positivity(poly) and len(poly) == len(table[chord.u, chord.v])
+                _tally(units, None if ok else where)
+            if _running(denominators):
+                failure = None
+                try:
+                    denominator_vector(t, chord, paths=table)
+                except InvariantError:
+                    failure = where
+                _tally(denominators, failure)
+            for origin in chord.endpoints():
+                target = chord.other_end(origin)
+                if _running(oracle):
+                    same = set(table[origin, target]) == set(brute_force_t_paths(t, origin, target))
+                    _tally(oracle, None if same else f"{origin}->{target} in {key}")
+                if seeded:
+                    continue
+                if _running(partitions):
+                    report = check_partitions(t, origin, target, paths=table)
+                    _tally(partitions, None if report.ok else report.failures[0])
+                if _running(bijections):
+                    report = check_bijections_fg(t, origin, target, paths=table)
+                    _tally(bijections, None if report.ok else report.failures[0])
     return rows
+
+
+def _running(row: CheckRow | None) -> bool:
+    """Whether the sweep still evaluates a row: run at this level, passing so far."""
+    return row is not None and row.status == "pass"
+
+
+def _tally(row: CheckRow, failure: str | None) -> None:
+    """Count one instance; a failure ends the row, its detail naming the instance."""
+    row.instances += 1
+    if failure is not None:
+        row.status, row.detail = "fail", failure
 
 
 def all_pass(rows: list[CheckRow]) -> bool:
@@ -71,114 +134,3 @@ def render_report(n: int, level: str, rows: list[CheckRow]) -> str:
         lines.append(line)
     lines.append(f"RESULT: {'PASS' if all_pass(rows) else 'FAIL'}")
     return "\n".join(lines)
-
-
-def _oriented_instances(triangulations, diagonals):
-    for t in triangulations:
-        for chord in diagonals:
-            for origin in chord.endpoints():
-                yield t, chord, origin
-
-
-def _check_counts(n, triangulations) -> CheckRow:
-    expected = TRIANGULATION_COUNTS[n]
-    ok = len(triangulations) == expected
-    return CheckRow(
-        "triangulation-count",
-        1,
-        "pass" if ok else "fail",
-        f"{len(triangulations)} of {expected}",
-    )
-
-
-def _check_expansion_vs_recursion(triangulations, diagonals) -> CheckRow:
-    checked = 0
-    for t in triangulations:
-        for chord in diagonals:
-            polys = [expand(t, chord, o) for o in chord.endpoints()]
-            polys += [cluster_variable_recursive(t, chord, o) for o in chord.endpoints()]
-            checked += 1
-            if any(p != polys[0] for p in polys[1:]):
-                return CheckRow(
-                    "expansion-vs-recursion",
-                    checked,
-                    "fail",
-                    f"{chord} in {t.diagonal_key()}",
-                )
-    return CheckRow("expansion-vs-recursion", checked, "pass")
-
-
-def _check_term_structure(triangulations, diagonals) -> CheckRow:
-    checked = 0
-    for t in triangulations:
-        for chord in diagonals:
-            if t.contains(chord):
-                continue
-            checked += 1
-            poly = expand(t, chord)
-            paths = enumerate_t_paths(t, chord.u, chord.v)
-            if not check_positivity(poly) or len(poly) != len(paths):
-                return CheckRow(
-                    "unit-coefficients",
-                    checked,
-                    "fail",
-                    f"{chord} in {t.diagonal_key()}",
-                )
-    return CheckRow("unit-coefficients", checked, "pass")
-
-
-def _check_denominators(triangulations, diagonals) -> CheckRow:
-    checked = 0
-    for t in triangulations:
-        for chord in diagonals:
-            checked += 1
-            try:
-                denominator_vector(t, chord)
-            except InvariantError:
-                return CheckRow(
-                    "denominator-vectors", checked, "fail", f"{chord} in {t.diagonal_key()}"
-                )
-    return CheckRow("denominator-vectors", checked, "pass")
-
-
-def _check_enumerator_oracle(n, triangulations, diagonals) -> CheckRow:
-    if n > MAX_BRUTE_FORCE_RANK:
-        return CheckRow(
-            "enumeration-vs-brute-force", 0, "skip", f"guarded to rank {MAX_BRUTE_FORCE_RANK}"
-        )
-    checked = 0
-    for t, chord, origin in _oriented_instances(triangulations, diagonals):
-        target = chord.other_end(origin)
-        checked += 1
-        if set(enumerate_t_paths(t, origin, target)) != set(brute_force_t_paths(t, origin, target)):
-            return CheckRow(
-                "enumeration-vs-brute-force",
-                checked,
-                "fail",
-                f"{origin}->{target} in {t.diagonal_key()}",
-            )
-    return CheckRow("enumeration-vs-brute-force", checked, "pass")
-
-
-def _check_partitions(triangulations, diagonals) -> CheckRow:
-    checked = 0
-    for t, chord, origin in _oriented_instances(triangulations, diagonals):
-        if t.contains(chord):
-            continue
-        checked += 1
-        report = check_partitions(t, origin, chord.other_end(origin))
-        if not report.ok:
-            return CheckRow("first-edge-partition", checked, "fail", report.failures[0])
-    return CheckRow("first-edge-partition", checked, "pass")
-
-
-def _check_bijections(triangulations, diagonals) -> CheckRow:
-    checked = 0
-    for t, chord, origin in _oriented_instances(triangulations, diagonals):
-        if t.contains(chord):
-            continue
-        checked += 1
-        report = check_bijections_fg(t, origin, chord.other_end(origin))
-        if not report.ok:
-            return CheckRow("start-edge-bijections", checked, "fail", report.failures[0])
-    return CheckRow("start-edge-bijections", checked, "pass")

@@ -194,6 +194,13 @@ class TestWeights:
             1, exponents(nv, {7: 1, 2: 1, 4: 1, 11: 1, 1: -1, 3: -1, 5: -1})
         )
 
+    @pytest.mark.parametrize(
+        "labels, named", [((7, 14, 0), 14), ((0, 3, 99), 0), ((7, 3, -2), -2)]
+    )
+    def test_out_of_range_label_named(self, labels, named):
+        with pytest.raises(InputError, match=f"^label {named} out of range 1..13$"):
+            path_weight(TPath((3, 2, 6, 7), labels), 13)
+
     def test_weights_distinct_and_reduced(self):
         for t, source, target in small_instances(3):
             nv = 2 * t.n + 3
