@@ -214,8 +214,9 @@ def check_bijections_fg(
         counts[f"family_{side}"] = len(family)
         counts[f"corner_{corner}"] = len(corner_paths)
         ratio = _weight_ratio(nvars, side, step.pivot)
+        transported_weights = [path_weight(g, nvars) * ratio for g in corner_paths]
         images = []
-        for gamma in corner_paths:
+        for gamma, transported_weight in zip(corner_paths, transported_weights):
             if gamma.labels[0] == step.pivot:
                 image = TPath((source,) + gamma.vertices[1:], (side,) + gamma.labels[1:])
                 expected_family = "pivot-free"
@@ -237,7 +238,7 @@ def check_bijections_fg(
                 continue
             if not in_family:
                 failures.append(f"image {image} of {gamma} missed the {expected_family} family")
-            if path_weight(image, nvars) != path_weight(gamma, nvars) * ratio:
+            if path_weight(image, nvars) != transported_weight:
                 failures.append(f"weight of {image} is not weight({gamma})*x{side}/x{step.pivot}")
             images.append(image)
         if len(set(images)) != len(images):
@@ -246,9 +247,7 @@ def check_bijections_fg(
             failures.append(
                 f"images from corner {corner} do not exhaust the paths starting with {side}"
             )
-        transported = LaurentPolynomial.from_monomials(
-            nvars, (path_weight(g, nvars) * ratio for g in corner_paths)
-        )
+        transported = LaurentPolynomial.from_monomials(nvars, transported_weights)
         if transported != family_sum[side]:
             failures.append(f"summed weights from corner {corner} mismatch family {side}")
 

@@ -8,6 +8,12 @@ exponent order, which pins the text rendering bit-for-bit.
 
 Variable indices are 1-based throughout, matching the edge labels of the
 polygon modules.
+
+A product with a one-term operand ``k * x^shift`` is built by shifting each
+term of the other operand, with no merging: a shift by a fixed vector is
+injective, so no two shifted terms meet, and a product of two nonzero
+coefficients is nonzero, so the result is already in normal form.  Every
+product of the exchange recursion has this shape.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import InputError
 
@@ -23,12 +30,13 @@ Exponents = tuple[int, ...]
 
 def render_factors(exponents: Exponents) -> list[str]:
     """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
-    pos = [
-        f"x{i}" + ("" if e == 1 else f"^{e}")
-        for i, e in enumerate(exponents, start=1)
-        if e > 0
-    ]
-    neg = [f"x{i}^{e}" for i, e in enumerate(exponents, start=1) if e < 0]
+    pos = []
+    neg = []
+    for i, e in enumerate(exponents, start=1):
+        if e > 0:
+            pos.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+        elif e < 0:
+            neg.append(f"x{i}^{e}")
     return pos + neg
 
 
@@ -62,7 +70,7 @@ class Monomial:
             raise InputError(f"rank mismatch: {self.nvars} vs {other.nvars}")
         return Monomial(
             self.coefficient * other.coefficient,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
+            tuple(map(add, self.exponents, other.exponents)),
         )
 
     def __str__(self) -> str:
@@ -137,16 +145,32 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
+        result = LaurentPolynomial(self.nvars)
+        poly, mono = (other, self) if len(self._terms) == 1 else (self, other)
+        if len(mono._terms) == 1:
+            # Already in normal form, see the module docstring.
+            ((shift, k),) = mono._terms.items()
+            moved = [i for i, d in enumerate(shift) if d]
+            if len(moved) == 1:
+                (i,) = moved
+                d = shift[i]
+                result._terms = {
+                    e[:i] + (e[i] + d,) + e[i + 1 :]: c * k for e, c in poly._terms.items()
+                }
+            else:
+                result._terms = {
+                    tuple(map(add, e, shift)): c * k for e, c in poly._terms.items()
+                }
+            return result
         out: dict[Exponents, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 acc = out.get(exps, 0) + c1 * c2
                 if acc:
                     out[exps] = acc
                 else:
                     out.pop(exps, None)
-        result = LaurentPolynomial(self.nvars)
         result._terms = out
         return result
 

@@ -75,6 +75,8 @@ class TestRingOperations:
             LaurentPolynomial.one(3) + LaurentPolynomial.one(4)
         with pytest.raises(InputError):
             LaurentPolynomial.one(3) * LaurentPolynomial.one(4)
+        with pytest.raises(InputError):
+            LaurentPolynomial.variable(1, 4) * LaurentPolynomial.one(3)
 
     def test_canonical_form_ignores_construction_order(self):
         nv = 3
@@ -87,6 +89,49 @@ class TestRingOperations:
         p = LaurentPolynomial(2, [((1, 1), 5), ((1, 1), -5)])
         assert len(p) == 0
         assert not p
+
+
+class TestMonomialProducts:
+    """Products with a one-term operand skip the merge loop; the naive reference does not."""
+
+    NV = 4
+    MONOMIALS = {
+        "variable": LaurentPolynomial.variable(2, NV),
+        "inverse-times-minus-three": LaurentPolynomial(NV, {exponents(NV, {3: -1}): -3}),
+        "one": LaurentPolynomial.one(NV),
+        "two-variables": LaurentPolynomial(NV, {exponents(NV, {1: 2, 4: -1}): 5}),
+    }
+
+    def operands(self):
+        rng = random.Random(29)
+        return [LaurentPolynomial.zero(self.NV)] + [
+            random_polynomial(rng, self.NV, max_terms=8) for _ in range(15)
+        ]
+
+    @pytest.mark.parametrize("name", sorted(MONOMIALS))
+    def test_one_term_operand_on_either_side(self, name):
+        m = self.MONOMIALS[name]
+        for f in self.operands():
+            assert m * f == naive_product(m, f)
+            assert f * m == naive_product(f, m)
+
+    def test_one_term_operands_on_both_sides(self):
+        for m in self.MONOMIALS.values():
+            for k in self.MONOMIALS.values():
+                product = m * k
+                assert product == naive_product(m, k)
+                assert len(product) == 1
+
+    @pytest.mark.parametrize("name", sorted(MONOMIALS))
+    def test_operands_unchanged_and_unshared(self, name):
+        m = self.MONOMIALS[name]
+        for f in self.operands():
+            before_m, before_f = list(m.terms()), list(f.terms())
+            for product in (m * f, f * m):
+                assert product._terms is not f._terms
+                assert product._terms is not m._terms
+            assert list(m.terms()) == before_m
+            assert list(f.terms()) == before_f
 
 
 class TestDivision:
