@@ -9,11 +9,11 @@ exponent order, which pins the text rendering bit-for-bit.
 Variable indices are 1-based throughout, matching the edge labels of the
 polygon modules.
 
-A product with a one-term operand ``k * x^shift`` is built by shifting each
-term of the other operand, with no merging: a shift by a fixed vector is
-injective, so no two shifted terms meet, and a product of two nonzero
-coefficients is nonzero, so the result is already in normal form.  Every
-product of the exchange recursion has this shape.
+A product with a one-term, one-variable operand ``k * x_i^d`` is built by
+shifting the i-th exponent of each term of the other operand, with no merging:
+a shift by a fixed vector is injective, so no two shifted terms meet, and a
+product of two nonzero coefficients is nonzero, so the result is already in
+normal form.  Every product of the exchange recursion has this shape.
 """
 
 from __future__ import annotations
@@ -145,23 +145,13 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
-        result = LaurentPolynomial(self.nvars)
-        poly, mono = (other, self) if len(self._terms) == 1 else (self, other)
-        if len(mono._terms) == 1:
-            # Already in normal form, see the module docstring.
-            ((shift, k),) = mono._terms.items()
-            moved = [i for i, d in enumerate(shift) if d]
-            if len(moved) == 1:
-                (i,) = moved
-                d = shift[i]
-                result._terms = {
-                    e[:i] + (e[i] + d,) + e[i + 1 :]: c * k for e, c in poly._terms.items()
-                }
-            else:
-                result._terms = {
-                    tuple(map(add, e, shift)): c * k for e, c in poly._terms.items()
-                }
-            return result
+        for mono, poly in ((self, other), (other, self)):
+            if len(mono._terms) == 1:
+                ((shift, k),) = mono._terms.items()
+                moved = [i for i, d in enumerate(shift) if d]
+                if len(moved) == 1:
+                    (i,) = moved
+                    return poly._shifted(i, shift[i], k)
         out: dict[Exponents, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -171,7 +161,17 @@ class LaurentPolynomial:
                     out[exps] = acc
                 else:
                     out.pop(exps, None)
+        result = LaurentPolynomial(self.nvars)
         result._terms = out
+        return result
+
+    def _shifted(self, i: int, d: int, k: int) -> "LaurentPolynomial":
+        """k * x_(i+1)^d * self, already in normal form (see the module docstring)."""
+        result = LaurentPolynomial(self.nvars)
+        result._terms = {
+            exps[:i] + (exps[i] + d,) + exps[i + 1 :]: coeff * k
+            for exps, coeff in self._terms.items()
+        }
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -211,13 +211,7 @@ class LaurentPolynomial:
         """Shift every term's exponent of x_index down by one; always exact."""
         if not 1 <= index <= self.nvars:
             raise InputError(f"variable index {index} out of range 1..{self.nvars}")
-        i = index - 1
-        result = LaurentPolynomial(self.nvars)
-        result._terms = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff
-            for exps, coeff in self._terms.items()
-        }
-        return result
+        return self._shifted(index - 1, -1, 1)
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPolynomial":
         """Set the given variables to 1: zero their exponents and merge terms."""

@@ -92,7 +92,7 @@ class TestRingOperations:
 
 
 class TestMonomialProducts:
-    """Products with a one-term operand skip the merge loop; the naive reference does not."""
+    """One-term operands: a single-variable one is a shift, `one` and two variables take the product loop."""
 
     NV = 4
     MONOMIALS = {
