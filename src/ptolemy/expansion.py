@@ -15,9 +15,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import InputError, InvariantError
-from .laurent import LaurentPolynomial, Monomial
+from .laurent import LaurentPolynomial, packed_layout
 from .polygon import Arc, CrossingStep, Triangulation, first_crossing_step
-from .tpaths import TPath, enumerate_t_paths, path_weight
+from .tpaths import TPath, enumerate_t_paths
 
 # {(source, target): enumerate_t_paths(t, source, target)} on one triangulation.
 PathTable = Mapping[tuple[int, int], Sequence[TPath]]
@@ -48,7 +48,20 @@ def expand(
     if label is not None:
         return LaurentPolynomial.variable(label, nvars)
     found = _paths_between(t, origin, chord.other_end(origin), paths=paths)
-    return LaurentPolynomial.from_monomials(nvars, (path_weight(p, nvars) for p in found))
+    return LaurentPolynomial.from_keys(nvars, _weight_keys(found, nvars))
+
+
+def _weight_keys(paths: Sequence[TPath], nvars: int) -> list[int]:
+    """Packed weight of each path: odd-position labels up, even-position labels down."""
+    zero, units = packed_layout(nvars)
+    unit = units.__getitem__
+    try:
+        return [
+            zero + sum(map(unit, p.labels[::2])) - sum(map(unit, p.labels[1::2]))
+            for p in paths
+        ]
+    except KeyError as exc:
+        raise InputError(f"label {exc.args[0]} out of range 1..{nvars}") from None
 
 
 def expand_trivial_coefficients(
@@ -168,13 +181,6 @@ class BijectionReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _weight_ratio(nvars: int, up: int, down: int) -> Monomial:
-    exps = [0] * nvars
-    exps[up - 1] += 1
-    exps[down - 1] -= 1
-    return Monomial(1, tuple(exps))
-
-
 def check_bijections_fg(
     t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
 ) -> BijectionReport:
@@ -191,8 +197,9 @@ def check_bijections_fg(
     """
     step = _step_or_raise(t, source, target)
     nvars = t.n_labels
+    _, units = packed_layout(nvars)
     found = _paths_between(t, source, target, paths=paths)
-    path_set = set(found)
+    weight = dict(zip(found, _weight_keys(found, nvars)))
     failures: list[str] = []
     counts: dict[str, int] = {"total": len(found)}
     family_sum: dict[int, LaurentPolynomial] = {}
@@ -208,13 +215,11 @@ def check_bijections_fg(
         corner_paths = _paths_between(t, corner, target, paths=paths)
         corner_total += len(corner_paths)
         family = [p for p in found if p.labels[0] == side]
-        family_sum[side] = LaurentPolynomial.from_monomials(
-            nvars, (path_weight(p, nvars) for p in family)
-        )
+        family_sum[side] = LaurentPolynomial.from_keys(nvars, [weight[p] for p in family])
         counts[f"family_{side}"] = len(family)
         counts[f"corner_{corner}"] = len(corner_paths)
-        ratio = _weight_ratio(nvars, side, step.pivot)
-        transported_weights = [path_weight(g, nvars) * ratio for g in corner_paths]
+        ratio = units[side] - units[step.pivot]
+        transported_weights = [w + ratio for w in _weight_keys(corner_paths, nvars)]
         images = []
         for gamma, transported_weight in zip(corner_paths, transported_weights):
             if gamma.labels[0] == step.pivot:
@@ -233,12 +238,12 @@ def check_bijections_fg(
                     "after its first edge"
                 )
                 continue
-            if image not in path_set:
+            if image not in weight:
                 failures.append(f"image {image} of {gamma} is not an admissible path")
                 continue
             if not in_family:
                 failures.append(f"image {image} of {gamma} missed the {expected_family} family")
-            if path_weight(image, nvars) != transported_weight:
+            if weight[image] != transported_weight:
                 failures.append(f"weight of {image} is not weight({gamma})*x{side}/x{step.pivot}")
             images.append(image)
         if len(set(images)) != len(images):
@@ -247,7 +252,7 @@ def check_bijections_fg(
             failures.append(
                 f"images from corner {corner} do not exhaust the paths starting with {side}"
             )
-        transported = LaurentPolynomial.from_monomials(nvars, transported_weights)
+        transported = LaurentPolynomial.from_keys(nvars, transported_weights)
         if transported != family_sum[side]:
             failures.append(f"summed weights from corner {corner} mismatch family {side}")
 

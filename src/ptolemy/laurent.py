@@ -1,19 +1,43 @@
 """Exact sparse Laurent polynomials over x_1..x_m, plus min-tropical monomials.
 
-A polynomial is a map from exponent tuples (length m, entries may be negative)
-to nonzero integer coefficients.  Python integers are arbitrary precision, so
-all arithmetic here is exact with no overflow concerns.  Normal form never
-stores a zero coefficient, and serialization walks terms in lexicographic
-exponent order, which pins the text rendering bit-for-bit.
+A polynomial maps exponent vectors (length m, entries may be negative) to
+nonzero integer coefficients.  Python integers are arbitrary precision, so
+coefficient arithmetic is exact.  Normal form never stores a zero coefficient,
+and serialization walks terms in lexicographic exponent order, which pins the
+text rendering bit-for-bit.
 
 Variable indices are 1-based throughout, matching the edge labels of the
 polygon modules.
 
-A product with a one-term, one-variable operand ``k * x_i^d`` is built by
-shifting the i-th exponent of each term of the other operand, with no merging:
-a shift by a fixed vector is injective, so no two shifted terms meet, and a
-product of two nonzero coefficients is nonzero, so the result is already in
-normal form.  Every product of the exchange recursion has this shape.
+Each term is stored under one int key, its packed exponent vector (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The key has one 8-bit field per variable, x_1 in the
+most significant field, and each field holds the exponent plus ``BIAS`` (64).
+Exponents therefore run from ``MIN_EXPONENT`` (-64) to ``MAX_EXPONENT`` (63)
+and fields from 0 to 127; the top bit of every field is a guard bit that no
+stored key sets.  The fields are unsigned and x_1 leads, so integer order of
+keys is lexicographic order of exponent vectors and sorting keys sorts terms.
+A constructor given an exponent outside the range raises ``InputError``; there
+is no second representation to fall back to.
+
+Arithmetic never decodes a key.  The product of two terms has key
+``k1 + k2 - zero``, where ``zero`` is the key of x^0, and multiplying by x_i^d
+adds d times the unit of field i.  Every field of such a sum lies in -64..190,
+a window narrower than a field, so a result field outside 0..127 sets its own
+guard bit, or borrows from the field above and shows as 192..255, or makes the
+whole key negative.  Products and ``divide_by_variable`` OR their keys together
+once and raise ``InputError`` when that sets any bit outside the value fields.
+Distinct exponent vectors in the window keep distinct keys, so a spilled key
+never merges with the key of another vector.  Keys are decoded only at the
+public boundaries: ``terms`` (and so ``render``, ``to_term_list`` and
+``substitute_ones``) and ``evaluate`` unpack whole keys, and ``min_exponent``
+reads one field with a shift and a mask.
+
+A product with a one-term operand ``k * x^m`` adds ``key(m) - zero`` to each
+key of the other operand, with no merging: a shift by a fixed vector is
+injective, so no two shifted terms meet, and a product of two nonzero
+coefficients is nonzero, so the result is already in normal form.  Every
+product of the exchange recursion has this shape.
 """
 
 from __future__ import annotations
@@ -21,11 +45,56 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, or_
+from struct import Struct
+from types import MappingProxyType
 
 from .errors import InputError
 
 Exponents = tuple[int, ...]
+
+BIAS = 64
+MIN_EXPONENT = -BIAS
+MAX_EXPONENT = BIAS - 1
+_FIELD_BITS = 8
+_FIELD_MASK = 0xFF
+# Field byte -> its exponent as a signed byte.
+_SIGNED_EXPONENT = bytes((b - BIAS) & _FIELD_MASK for b in range(1 << _FIELD_BITS))
+
+
+@lru_cache(maxsize=None)
+def packed_layout(nvars: int) -> tuple[int, Mapping[int, int]]:
+    """The key of x^0, and the unit of each variable's field by index 1..nvars."""
+    zero = int.from_bytes(bytes([BIAS]) * nvars, "big")
+    units = {i: 1 << _FIELD_BITS * (nvars - i) for i in range(1, nvars + 1)}
+    return zero, MappingProxyType(units)
+
+
+@lru_cache(maxsize=None)
+def _spill_mask(nvars: int) -> int:
+    """Bits no valid key sets: the guard bits, all bits above x_1, and the sign."""
+    return ~int.from_bytes(bytes([MAX_EXPONENT + BIAS]) * nvars, "big")
+
+
+def _pack(exps: Iterable[int], nvars: int) -> int:
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise InputError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
+    if min(exps) < MIN_EXPONENT or max(exps) > MAX_EXPONENT:
+        raise InputError(
+            f"exponent vector {exps} leaves the range {MIN_EXPONENT}..{MAX_EXPONENT}"
+        )
+    return int.from_bytes(bytes([e + BIAS for e in exps]), "big")
+
+
+@lru_cache(maxsize=None)
+def _signed_bytes(nvars: int) -> Struct:
+    return Struct(f"{nvars}b")
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    return _signed_bytes(nvars).unpack(key.to_bytes(nvars, "big").translate(_SIGNED_EXPONENT))
 
 
 def render_factors(exponents: Exponents) -> list[str]:
@@ -78,7 +147,7 @@ class Monomial:
 
 
 class LaurentPolynomial:
-    """Immutable-by-convention sparse Laurent polynomial."""
+    """Immutable-by-convention sparse Laurent polynomial, terms keyed by packed exponents."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -90,16 +159,14 @@ class LaurentPolynomial:
         if nvars < 1:
             raise InputError(f"need at least one variable, got {nvars}")
         self.nvars = nvars
-        data: dict[Exponents, int] = {}
+        data: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise InputError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
+            key = _pack(exps, nvars)
             if coeff:
-                data[exps] = data.get(exps, 0) + coeff
-                if not data[exps]:
-                    del data[exps]
+                data[key] = data.get(key, 0) + coeff
+                if not data[key]:
+                    del data[key]
         self._terms = data
 
     # --- constructors -----------------------------------------------------
@@ -116,13 +183,24 @@ class LaurentPolynomial:
     def variable(cls, index: int, nvars: int) -> "LaurentPolynomial":
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return cls(nvars, {tuple(exps): 1})
+        result = cls(nvars)
+        zero, units = packed_layout(nvars)
+        result._terms = {zero + units[index]: 1}
+        return result
 
     @classmethod
     def from_monomials(cls, nvars: int, monomials: Iterable[Monomial]) -> "LaurentPolynomial":
         return cls(nvars, ((m.exponents, m.coefficient) for m in monomials))
+
+    @classmethod
+    def from_keys(cls, nvars: int, keys: Iterable[int]) -> "LaurentPolynomial":
+        """Sum of the monomials with these packed keys (see ``packed_layout``), each
+        with coefficient 1; a repeated key adds up."""
+        result = cls(nvars)
+        out = result._terms
+        for key in keys:
+            out[key] = out.get(key, 0) + 1
+        return result._in_range()
 
     # --- ring operations ---------------------------------------------------
 
@@ -130,49 +208,53 @@ class LaurentPolynomial:
         if self.nvars != other.nvars:
             raise InputError(f"rank mismatch: {self.nvars} vs {other.nvars}")
 
+    def _in_range(self) -> "LaurentPolynomial":
+        """Self, once no key spills out of its fields (see the module docstring)."""
+        if reduce(or_, self._terms, 0) & _spill_mask(self.nvars):
+            raise InputError(
+                f"an exponent of the result leaves the range {MIN_EXPONENT}..{MAX_EXPONENT}"
+            )
+        return self
+
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps, 0) + coeff
+        out = self._terms | other._terms
+        for key in self._terms.keys() & other._terms.keys():
+            acc = self._terms[key] + other._terms[key]
             if acc:
-                out[exps] = acc
+                out[key] = acc
             else:
-                out.pop(exps, None)
+                del out[key]
         result = LaurentPolynomial(self.nvars)
         result._terms = out
         return result
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
+        zero, _ = packed_layout(self.nvars)
         for mono, poly in ((self, other), (other, self)):
             if len(mono._terms) == 1:
-                ((shift, k),) = mono._terms.items()
-                moved = [i for i, d in enumerate(shift) if d]
-                if len(moved) == 1:
-                    (i,) = moved
-                    return poly._shifted(i, shift[i], k)
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(map(add, e1, e2))
-                acc = out.get(exps, 0) + c1 * c2
+                ((key, k),) = mono._terms.items()
+                return poly._shifted(key - zero, k)
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            base = k1 - zero
+            for k2, c2 in other._terms.items():
+                key = base + k2
+                acc = out.get(key, 0) + c1 * c2
                 if acc:
-                    out[exps] = acc
+                    out[key] = acc
                 else:
-                    out.pop(exps, None)
+                    out.pop(key, None)
         result = LaurentPolynomial(self.nvars)
         result._terms = out
-        return result
+        return result._in_range()
 
-    def _shifted(self, i: int, d: int, k: int) -> "LaurentPolynomial":
-        """k * x_(i+1)^d * self, already in normal form (see the module docstring)."""
+    def _shifted(self, delta: int, k: int) -> "LaurentPolynomial":
+        """k * x^m * self, where delta = key(m) - zero; already in normal form."""
         result = LaurentPolynomial(self.nvars)
-        result._terms = {
-            exps[:i] + (exps[i] + d,) + exps[i + 1 :]: coeff * k
-            for exps, coeff in self._terms.items()
-        }
-        return result
+        result._terms = {key + delta: coeff * k for key, coeff in self._terms.items()}
+        return result._in_range()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -191,11 +273,11 @@ class LaurentPolynomial:
 
     def terms(self) -> Iterator[tuple[Exponents, int]]:
         """Terms in canonical (lexicographic exponent) order."""
-        for exps in sorted(self._terms):
-            yield exps, self._terms[exps]
+        for key in sorted(self._terms):
+            yield _unpack(key, self.nvars), self._terms[key]
 
     def coefficients(self) -> list[int]:
-        return [coeff for _, coeff in self.terms()]
+        return [self._terms[key] for key in sorted(self._terms)]
 
     def min_exponent(self, index: int) -> int:
         """Smallest exponent of x_index over all terms (0 for the zero polynomial)."""
@@ -203,15 +285,18 @@ class LaurentPolynomial:
             raise InputError(f"variable index {index} out of range 1..{self.nvars}")
         if not self._terms:
             return 0
-        return min(exps[index - 1] for exps in self._terms)
+        shift = _FIELD_BITS * (self.nvars - index)
+        return min(key >> shift & _FIELD_MASK for key in self._terms) - BIAS
 
     # --- transformations ------------------------------------------------------
 
     def divide_by_variable(self, index: int) -> "LaurentPolynomial":
-        """Shift every term's exponent of x_index down by one; always exact."""
+        """Shift every term's exponent of x_index down by one (exact; raises
+        ``InputError`` below the exponent range)."""
         if not 1 <= index <= self.nvars:
             raise InputError(f"variable index {index} out of range 1..{self.nvars}")
-        return self._shifted(index - 1, -1, 1)
+        _, units = packed_layout(self.nvars)
+        return self._shifted(-units[index], 1)
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPolynomial":
         """Set the given variables to 1: zero their exponents and merge terms."""
@@ -224,7 +309,7 @@ class LaurentPolynomial:
             self.nvars,
             (
                 (tuple(0 if i in idx else e for i, e in enumerate(exps)), coeff)
-                for exps, coeff in self._terms.items()
+                for exps, coeff in self.terms()
             ),
         )
 
@@ -236,9 +321,9 @@ class LaurentPolynomial:
         if any(v == 0 for v in values):
             raise InputError("evaluation point must have nonzero coordinates")
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = Fraction(coeff)
-            for v, e in zip(values, exps):
+            for v, e in zip(values, _unpack(key, self.nvars)):
                 if e:
                     term *= v**e
             total += term

@@ -227,11 +227,11 @@ class Triangulation:
         nv = n + 3
         if len(self.edges) != 2 * n + 3:
             raise InputError(f"expected {2 * n + 3} labeled arcs, got {len(self.edges)}")
-        for arc in self.edges:
-            arc.validate(nv)
         for arc in self.edges[:n]:
-            if not arc.is_diagonal(nv):
-                raise InputError(f"boundary edge {arc} supplied as a diagonal")
+            arc.validate(nv)
+            if arc.is_boundary(nv):
+                raise InputError(f"{arc} is a boundary edge, not a diagonal")
+        # Each boundary label must hold one fixed arc, valid by construction.
         for k in range(1, nv + 1):
             expected = Arc(k, k % nv + 1)
             if self.edges[n + k - 1] != expected:
@@ -372,13 +372,7 @@ def build_triangulation(
     nv = n + 3
     if len(diagonals) != n:
         raise InputError(f"expected {n} diagonals, got {len(diagonals)}")
-    arcs = []
-    for u, v in diagonals:
-        arc = Arc(u, v)
-        arc.validate(nv)
-        if arc.is_boundary(nv):
-            raise InputError(f"{arc} is a boundary edge, not a diagonal")
-        arcs.append(arc)
+    arcs = [Arc(u, v) for u, v in diagonals]
     if label_order is not None:
         if sorted(label_order) != list(range(1, n + 1)):
             raise InputError(f"label_order must be a permutation of 1..{n}")

@@ -274,6 +274,20 @@ class TestInputErrors:
         assert code == 2
         assert "boundary" in err
 
+    @pytest.mark.parametrize(
+        "diagonals, message",
+        [
+            ("1-2,1-3", "error: 1-2 is a boundary edge, not a diagonal\n"),
+            ("1-3,1-9", "error: vertex 9 out of range 1..5\n"),
+        ],
+        ids=["boundary-pair", "vertex-out-of-range"],
+    )
+    def test_bad_diagonal_is_one_line(self, capsys, diagonals, message):
+        code, out, err = run_cli(
+            capsys, "expand", "--n", "2", "--diagonals", diagonals, "--target", "2-4"
+        )
+        assert (code, out, err) == (2, "", message)
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -6,6 +6,7 @@ from ptolemy import (
     Arc,
     InputError,
     LaurentPolynomial,
+    TPath,
     all_polygon_diagonals,
     all_triangulations,
     check_bijections_fg,
@@ -57,6 +58,12 @@ class TestExpand:
     def test_bad_origin(self, octagon):
         with pytest.raises(InputError):
             expand(octagon, Arc(3, 7), 4)
+
+    @pytest.mark.parametrize("bad", [0, 14])
+    def test_table_path_with_out_of_range_label(self, octagon, bad):
+        table = {(3, 7): [TPath((3, 2, 6, 7), (7, bad, 11))]}
+        with pytest.raises(InputError, match=f"^label {bad} out of range 1..13$"):
+            expand(octagon, Arc(3, 7), paths=table)
 
     def test_orientation_independent(self):
         for n in range(1, 4):

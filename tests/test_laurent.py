@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptolemy import InputError, LaurentPolynomial, Monomial, TropicalMonomial
-from conftest import exponents
+from ptolemy.laurent import packed_layout, render_term
+from conftest import exponents, run_optimized
 
 
 def random_polynomial(rng, nvars, max_terms=6, span=3, coeff=9):
@@ -92,7 +95,7 @@ class TestRingOperations:
 
 
 class TestMonomialProducts:
-    """One-term operands: a single-variable one is a shift, `one` and two variables take the product loop."""
+    """One-term operands, of one variable, none (`one`) or two, shift the other operand's keys."""
 
     NV = 4
     MONOMIALS = {
@@ -215,6 +218,104 @@ class TestRendering:
         for _ in range(10):
             f = random_polynomial(rng, 4)
             assert LaurentPolynomial.from_term_list(4, f.to_term_list()) == f
+
+
+# Products and quotients over three variables whose exact result has an
+# exponent outside -64..63: (left terms, right terms or the index to divide by).
+SPILLS = {
+    "shift-up": ({(63, 0, 0): 1}, {(1, 0, 0): 1}),
+    "shift-down": ({(0, 0, -64): 1}, {(0, 0, -1): 2}),
+    "general-up": ({(40, 0, 0): 1, (0, 1, 0): 1}, {(40, 0, 0): 1, (0, 1, 0): 1}),
+    "general-down": ({(0, 0, -64): 1, (0, 0, 0): 1}, {(0, 0, -64): 1, (63, 0, 0): 1}),
+    "divide-last-field": ({(0, 0, -64): 1}, 3),
+    "divide-first-field": ({(-64, 5, 0): 1}, 1),
+}
+
+SPILL_RUNNER = """
+from ptolemy import InputError, LaurentPolynomial
+for name, (left, right) in sorted(SPILLS.items()):
+    p = LaurentPolynomial(3, left)
+    try:
+        p.divide_by_variable(right) if isinstance(right, int) else p * LaurentPolynomial(3, right)
+    except InputError as exc:
+        print(name, exc)
+    else:
+        print(name, "returned")
+"""
+
+
+class TestPackedRange:
+    """Exponents -64..63 are stored; a constructor given, or an operation
+    producing, any other exponent raises InputError."""
+
+    @pytest.mark.parametrize("e", [63, -64])
+    def test_extremes_round_trip(self, e):
+        nv = 3
+        exps = (e, 0, -1 - e)
+        p = LaurentPolynomial(nv, {exps: 5})
+        assert list(p.terms()) == [(exps, 5)]
+        assert [p.min_exponent(i) for i in (1, 2, 3)] == list(exps)
+        assert LaurentPolynomial.from_term_list(nv, p.to_term_list()) == p
+        assert LaurentPolynomial.from_monomials(nv, [Monomial(5, exps)]) == p
+        assert p.divide_by_variable(2).divide_by_variable(2) * LaurentPolynomial(
+            nv, {(0, 2, 0): 1}
+        ) == p
+
+    @pytest.mark.parametrize("e", [64, -65])
+    def test_out_of_range_rejected_by_every_constructor(self, e):
+        nv = 3
+        exps = (0, e, 0)
+        with pytest.raises(InputError, match="leaves the range -64..63"):
+            LaurentPolynomial(nv, {exps: 1})
+        with pytest.raises(InputError, match="leaves the range -64..63"):
+            LaurentPolynomial.from_term_list(nv, [{"coefficient": 1, "exponents": list(exps)}])
+        with pytest.raises(InputError, match="leaves the range -64..63"):
+            LaurentPolynomial.from_monomials(nv, [Monomial(1, exps)])
+
+    def test_from_keys(self):
+        nv = 2
+        zero, units = packed_layout(nv)
+        p = LaurentPolynomial.from_keys(nv, [zero + units[1], zero - units[2], zero + units[1]])
+        assert list(p.terms()) == [((0, -1), 1), ((1, 0), 2)]
+        for key in (zero + 64 * units[2], zero - 65 * units[1], -1, 1 << 16):
+            with pytest.raises(InputError, match="leaves the range -64..63"):
+                LaurentPolynomial.from_keys(nv, [zero, key])
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_operation_leaving_the_range_raises(self, capsys, optimize):
+        code = f"SPILLS = {SPILLS!r}\n{SPILL_RUNNER}"
+        if optimize:
+            out = run_optimized(code)
+        else:
+            exec(code, {})
+            out = capsys.readouterr().out
+        message = "an exponent of the result leaves the range -64..63"
+        assert out.splitlines() == [f"{name} {message}" for name in sorted(SPILLS)]
+
+
+@st.composite
+def term_lists(draw):
+    """A rank, and terms over it with exponents across the whole packed range,
+    drawn from a few vectors so that terms merge and cancel."""
+    nvars = draw(st.integers(min_value=1, max_value=40))
+    exps = st.lists(st.integers(-64, 63), min_size=nvars, max_size=nvars).map(tuple)
+    pool = draw(st.lists(exps, min_size=1, max_size=4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)), max_size=8))
+    return nvars, terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(term_lists())
+def test_serialization_matches_a_tuple_keyed_reference(case):
+    nvars, terms = case
+    reference = {}
+    for exps, coeff in terms:
+        reference[exps] = reference.get(exps, 0) + coeff
+    ordered = [(exps, reference[exps]) for exps in sorted(reference) if reference[exps]]
+    p = LaurentPolynomial(nvars, terms)
+    assert list(p.terms()) == ordered
+    assert p.render() == (" + ".join(render_term(c, e) for e, c in ordered) or "0")
+    assert p.to_term_list() == [{"coefficient": c, "exponents": list(e)} for e, c in ordered]
 
 
 class TestMonomial:

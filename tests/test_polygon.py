@@ -94,6 +94,18 @@ class TestBuildTriangulation:
         with pytest.raises(InputError):
             build_triangulation(2, [(1, 2), (1, 3)])
 
+    def test_each_diagonal_validated_once(self, monkeypatch):
+        checked = []
+        validate = Arc.validate
+
+        def counting_validate(arc, n_vertices):
+            checked.append(arc)
+            validate(arc, n_vertices)
+
+        monkeypatch.setattr(Arc, "validate", counting_validate)
+        build_triangulation(5, OCTAGON_DIAGONALS)
+        assert checked == [Arc(u, v) for u, v in OCTAGON_DIAGONALS]
+
     def test_label_order(self):
         t = build_triangulation(2, [(1, 3), (1, 4)], label_order=[2, 1])
         assert t.arc(1) == Arc(1, 4)
