@@ -48,6 +48,7 @@ from .polygon import (
 from .tpaths import (
     PathCheck,
     TPath,
+    brute_force_t_path_table,
     brute_force_t_paths,
     enumerate_t_paths,
     is_valid_t_path,
@@ -75,6 +76,7 @@ __all__ = [
     "TropicalMonomial",
     "all_polygon_diagonals",
     "all_triangulations",
+    "brute_force_t_path_table",
     "brute_force_t_paths",
     "build_triangulation",
     "check_bijections_fg",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .laurent import LaurentPolynomial, TropicalMonomial
+from .laurent import LaurentPolynomial, TropicalMonomial, packed_layout
 from .polygon import Arc, Triangulation, first_crossing_step
 
 
@@ -123,16 +123,19 @@ def cluster_variable_recursive(
         x[arc] = (x[cw_side] * x[ccw_far] + x[ccw_side] * x[cw_far]) / x[pivot]
 
     where both far arcs cross strictly fewer diagonals, so the recursion
-    terminates; division is by a single variable, hence exact.  Results are
-    memoized per arc, confined to this call.  ``origin`` orients only the top
-    step (recursive steps orient canonically); the result does not depend on
-    it, which the test suite asserts.
+    terminates.  Each far arc's polynomial is multiplied by the one-term
+    x[side]/x[pivot], which shifts each of its terms once; the division is
+    by a single variable, hence exact.  Results are memoized per arc,
+    confined to this call.  ``origin`` orients only the top step (recursive
+    steps orient canonically); the result does not depend on it, which the
+    test suite asserts.
     """
     nv = t.n_vertices
     arc.validate(nv)
     if origin is not None and not arc.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {arc}")
     nvars = t.n_labels
+    zero, units = packed_layout(nvars)
     memo: dict[Arc, LaurentPolynomial] = {}
 
     def resolve(current: Arc, anchor: int) -> LaurentPolynomial:
@@ -146,12 +149,12 @@ def cluster_variable_recursive(
             step = first_crossing_step(t, current, anchor)
             if step is None:
                 raise InvariantError(f"{current} is not in the triangulation yet crosses nothing")
-            numerator = LaurentPolynomial.variable(step.cw_side, nvars) * resolve(
-                step.ccw_far, step.ccw_far.u
-            ) + LaurentPolynomial.variable(step.ccw_side, nvars) * resolve(
+            over_pivot = zero - units[step.pivot]
+            cw_ratio = LaurentPolynomial.from_keys(nvars, [over_pivot + units[step.cw_side]])
+            ccw_ratio = LaurentPolynomial.from_keys(nvars, [over_pivot + units[step.ccw_side]])
+            poly = cw_ratio * resolve(step.ccw_far, step.ccw_far.u) + ccw_ratio * resolve(
                 step.cw_far, step.cw_far.u
             )
-            poly = numerator.divide_by_variable(step.pivot)
         memo[current] = poly
         return poly
 

@@ -273,6 +273,11 @@ class Triangulation:
     def _label_by_pair(self) -> dict[tuple[int, int], int]:
         return {(arc.u, arc.v): i + 1 for i, arc in enumerate(self.edges)}
 
+    @cached_property
+    def _crossing_steps(self) -> dict[tuple[int, int, int], CrossingStep | None]:
+        """``first_crossing_step`` results by (u, v, origin); see there."""
+        return {}
+
     def label_of(self, arc: Arc) -> int | None:
         return self._label_by_pair.get((arc.u, arc.v))
 
@@ -409,8 +414,21 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
     """Locate the quadrilateral at the chord's first crossing from origin.
 
     Returns None when nothing crosses, i.e. when the chord belongs to the
-    triangulation.
+    triangulation.  Each result, None included, is kept on ``t`` under
+    ``(chord.u, chord.v, origin)``, so every later call on the same
+    triangulation (the recursion's steps, the partition and bijection checks)
+    shares one crossing order per arc and origin.  The memo holds geometry
+    only, lives exactly as long as ``t``, and is created on the first call.
+    Calls that raise store nothing.
     """
+    memo = t._crossing_steps
+    key = (chord.u, chord.v, origin)
+    if key not in memo:
+        memo[key] = _first_crossing_step(t, chord, origin)
+    return memo[key]
+
+
+def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingStep | None:
     ordered = t.crossing_labels_from(chord, origin)
     if not ordered:
         return None

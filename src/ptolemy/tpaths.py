@@ -18,17 +18,22 @@ rules restrict edges only, and emitting a path never terminates its branch of
 the search.
 
 ``enumerate_t_paths`` prunes on the rules during a depth-first search;
-``brute_force_t_paths`` generates every edge-distinct walk and filters with
-the validator, serving as its independent oracle at small rank.  Both list
-paths in lexicographic order of their label sequences.  Each call builds one
-table of crossing positions for its chord (``crossing_keys``), and the
-search, its validator calls and the oracle's all read it.  Every path the
-pruned search emits is checked against all six rules at a cost linear in its
-length, and a failure raises ``InvariantError``, under ``python -O`` as well.
+``brute_force_t_path_table`` generates every edge-distinct walk from one
+source and filters with the validator, serving as its independent oracle at
+small rank.  The trails from a source do not depend on the target, so one
+walk serves all of the source's targets, each arrival checked with its own
+target's crossing table; ``brute_force_t_paths`` is that walk for a single
+target.  Both routes list paths in lexicographic order of their label
+sequences.  Each chord gets one table of crossing positions
+(``crossing_keys``), and the search, its validator calls and the oracle's
+all read it.  Every path the pruned search emits is checked against all six
+rules at a cost linear in its length, and a failure raises
+``InvariantError``, under ``python -O`` as well.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -193,20 +198,30 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
 
 
 def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]:
-    """Oracle enumeration: every edge-distinct walk, filtered by the validator.
+    """Oracle enumeration between two vertices; see ``brute_force_t_path_table``."""
+    return brute_force_t_path_table(t, source, (target,))[target]
 
-    No rule is used for pruning beyond edge distinctness, so agreement with
-    ``enumerate_t_paths`` exercises the pruned search end to end.  Guarded to
-    small ranks; the walk count grows quickly.
+
+def brute_force_t_path_table(
+    t: Triangulation, source: int, targets: Iterable[int]
+) -> dict[int, list[TPath]]:
+    """Oracle enumeration from one source: every edge-distinct walk, filtered
+    by the validator, for each target at once.
+
+    One walk from ``source`` serves every target: each odd-length arrival at
+    a target is checked against the six rules with that target's own
+    crossing table.  No rule is used for pruning beyond edge distinctness,
+    so agreement with ``enumerate_t_paths`` exercises the pruned search end
+    to end.  Guarded to small ranks; the walk count grows quickly.
     """
     if t.n > MAX_BRUTE_FORCE_RANK:
         raise ResourceLimitError(
             f"brute-force enumeration is guarded at rank {MAX_BRUTE_FORCE_RANK}, got {t.n}"
         )
-    keys = crossing_keys(t, source, target)
+    keys = {target: crossing_keys(t, source, target) for target in targets}
     incidence = {v: t.incident_labels(v) for v in range(1, t.n_vertices + 1)}
     arcs = t.edges
-    out: list[TPath] = []
+    out: dict[int, list[TPath]] = {target: [] for target in keys}
     vertices = [source]
     labels: list[int] = []
 
@@ -218,10 +233,10 @@ def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPat
             nxt = arcs[lab - 1].other_end(vertex)
             labels.append(lab)
             vertices.append(nxt)
-            if nxt == target and len(labels) % 2 == 1:
+            if nxt in keys and len(labels) % 2 == 1:
                 path = TPath(tuple(vertices), tuple(labels))
-                if is_valid_t_path(t, source, target, path, keys=keys).ok:
-                    out.append(path)
+                if is_valid_t_path(t, source, nxt, path, keys=keys[nxt]).ok:
+                    out[nxt].append(path)
             extend(nxt, used | bit)
             labels.pop()
             vertices.pop()

@@ -3,18 +3,24 @@
 One pass visits every triangulation of the (n+3)-gon and, in it, every
 diagonal once.  Per triangulation it enumerates the paths for both
 orientations of every diagonal into one table, which every row reads through
-the ``paths=`` argument of the expansion checks.  The exchange recursion keeps
-its memo per call, one call per orientation, so the agreement row still tests
-that the expansion does not depend on the orientation.  Each row counts its
-instances (both orientations where orientation matters) and stops at its first
-failure, as if it ran alone.  The quick level covers the expansion/recursion
-agreement and its structural consequences; the full level adds the path-set
-oracle and the partition and bijection checks at the ranks where their guards
-allow.
+the ``paths=`` argument of the expansion checks.  The path-set oracle gets a
+table of its own, filled one source vertex at a time by a single brute-force
+walk to all of that vertex's targets (fixed for the sweep), and only while
+its row is running, so a skipped or failed row walks nothing.  The crossing
+steps are memoized on each triangulation (``first_crossing_step``), so the
+recursion and the partition and bijection rows share one step per arc and
+origin.  The exchange recursion keeps its polynomial memo per call, one call
+per orientation, so the agreement row still tests that the expansion does
+not depend on the orientation.  Each row counts its instances (both
+orientations where orientation matters) and stops at its first failure, as
+if it ran alone.  The quick level covers the expansion/recursion agreement
+and its structural consequences; the full level adds the path-set oracle and
+the partition and bijection checks at the ranks where their guards allow.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
@@ -27,7 +33,7 @@ from .expansion import (
 )
 from .oracle import cluster_variable_recursive
 from .polygon import MAX_ENUMERATION_RANK, all_polygon_diagonals, all_triangulations
-from .tpaths import MAX_BRUTE_FORCE_RANK, brute_force_t_paths, enumerate_t_paths
+from .tpaths import MAX_BRUTE_FORCE_RANK, TPath, brute_force_t_path_table, enumerate_t_paths
 
 # Triangulation counts of the (n+3)-gon by rank n (Catalan numbers C(n+1)).
 TRIANGULATION_COUNTS = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429, 7: 1430, 8: 4862}
@@ -48,9 +54,9 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         raise InputError(f"level must be one of {LEVELS}, got {level!r}")
     if not 1 <= n <= MAX_ENUMERATION_RANK:
         raise InputError(f"verification sweeps accept ranks 1..{MAX_ENUMERATION_RANK}, got {n}")
-    triangulations = all_triangulations(n)
+    pending = deque(all_triangulations(n))
     diagonals = all_polygon_diagonals(n)
-    found, expected = len(triangulations), TRIANGULATION_COUNTS[n]
+    found, expected = len(pending), TRIANGULATION_COUNTS[n]
     status = "pass" if found == expected else "fail"
     rows = [CheckRow("triangulation-count", 1, status, f"{found} of {expected}")]
     recursion, units, denominators = (
@@ -67,8 +73,15 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         bijections = CheckRow("start-edge-bijections", 0, "pass")
         rows += [oracle, partitions, bijections]
 
-    for t in triangulations:
+    targets = {
+        origin: [chord.other_end(origin) for chord in diagonals if chord.is_incident(origin)]
+        for origin in range(1, n + 4)
+    }
+    while pending:
+        # Each triangulation, and the crossing steps memoized on it, goes after its pass.
+        t = pending.popleft()
         key = t.diagonal_key()
+        brute: dict[int, dict[int, list[TPath]]] = {}
         table = {
             (source, target): enumerate_t_paths(t, source, target)
             for chord in diagonals
@@ -95,7 +108,9 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
             for origin in chord.endpoints():
                 target = chord.other_end(origin)
                 if _running(oracle):
-                    same = set(table[origin, target]) == set(brute_force_t_paths(t, origin, target))
+                    if origin not in brute:
+                        brute[origin] = brute_force_t_path_table(t, origin, targets[origin])
+                    same = set(table[origin, target]) == set(brute[origin][target])
                     _tally(oracle, None if same else f"{origin}->{target} in {key}")
                 if seeded:
                     continue

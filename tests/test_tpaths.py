@@ -13,6 +13,7 @@ from ptolemy import (
     TPath,
     all_polygon_diagonals,
     all_triangulations,
+    brute_force_t_path_table,
     brute_force_t_paths,
     enumerate_t_paths,
     is_valid_t_path,
@@ -171,10 +172,25 @@ class TestBruteForce:
     def test_guard(self, octagon):
         with pytest.raises(ResourceLimitError):
             brute_force_t_paths(octagon, 3, 7)
+        with pytest.raises(ResourceLimitError):
+            brute_force_t_path_table(octagon, 3, (6, 7))
 
     def test_adjacent_rejected(self, square):
         with pytest.raises(InputError):
             brute_force_t_paths(square, 1, 2)
+        with pytest.raises(InputError):
+            brute_force_t_path_table(square, 1, (3, 2))
+
+    def test_one_walk_serves_every_target(self):
+        # Each target's list, order included, is what the pruned search finds.
+        for n in range(1, 4):
+            diagonals = all_polygon_diagonals(n)
+            for t in all_triangulations(n):
+                for source in range(1, n + 4):
+                    targets = [d.other_end(source) for d in diagonals if d.is_incident(source)]
+                    assert brute_force_t_path_table(t, source, targets) == {
+                        target: enumerate_t_paths(t, source, target) for target in targets
+                    }
 
 
 class TestWeights:

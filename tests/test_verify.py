@@ -1,5 +1,6 @@
-"""Verification sweep plumbing: levels, report rendering, guard handling, and
-fault injection showing that every row can fail and names its first failure."""
+"""Verification sweep plumbing: levels, report rendering, guard handling,
+fault injection showing that every row can fail and names its first failure,
+and counts showing the work each triangulation shares across rows."""
 
 import json
 import sys
@@ -16,8 +17,11 @@ from ptolemy import (
     InputError,
     LaurentPolynomial,
     TPath,
+    Triangulation,
     all_polygon_diagonals,
     all_triangulations,
+    cluster_variable_recursive,
+    first_crossing_step,
 )
 from ptolemy.verify import CheckRow, all_pass, render_report, run_checks
 from conftest import run_optimized
@@ -25,6 +29,7 @@ from conftest import run_optimized
 _honest_expand = ptolemy.expansion.expand
 _honest_recursive = ptolemy.oracle.cluster_variable_recursive
 _honest_enumerate = ptolemy.tpaths.enumerate_t_paths
+_honest_brute_force = ptolemy.tpaths.brute_force_t_path_table
 
 
 def skewed_expand(t, chord, origin=None, *, paths=None):
@@ -91,6 +96,15 @@ def thinning_enumeration(t, source, target):
     return paths[1:] if t.contains(_FAULTY) and single else paths
 
 
+def dropping_brute_force(t, source, targets):
+    """Oracle table losing the last path of its largest target."""
+    table = _honest_brute_force(t, source, targets)
+    if t.contains(_FAULTY):
+        target = max(table)
+        table[target] = table[target][:-1]
+    return table
+
+
 _SEED = "in (Arc(u=1, v=5), Arc(u=2, v=4), Arc(u=2, v=5))"
 
 # fault: (function replaced, stand-in, the rank-3 full sweep's failing rows as
@@ -155,6 +169,11 @@ FAULTS = {
             "expansion-vs-recursion": ("fail", 65, f"1-4 {_SEED}"),
             "enumeration-vs-brute-force": ("fail", 129, f"1->4 {_SEED}"),
         },
+    ),
+    "drop-brute-path": (
+        _honest_brute_force,
+        dropping_brute_force,
+        {"enumeration-vs-brute-force": ("fail", 131, f"1->5 {_SEED}")},
     ),
 }
 
@@ -287,3 +306,45 @@ def test_sweep_enumerates_each_ordered_pair_once_per_triangulation():
     # 14 triangulations of the hexagon, 9 diagonals, both orientations of each
     assert len(calls) == 2 * 9 * 14
     assert len(set(calls)) == len(calls)
+
+
+def test_sweep_walks_once_per_source_vertex_per_triangulation():
+    calls = []
+
+    def counted(t, source, targets):
+        calls.append((t.diagonal_key(), source))
+        return _honest_brute_force(t, source, targets)
+
+    with injected(_honest_brute_force, counted):
+        assert all_pass(run_checks(3, "full"))
+    # 14 triangulations of the hexagon, 6 source vertices each
+    assert len(calls) == 14 * 6
+    assert len(set(calls)) == len(calls)
+
+
+def test_sweep_orders_each_arcs_crossings_once_per_origin(monkeypatch):
+    calls = []
+    honest = Triangulation.crossing_labels_from
+
+    def counted(self, chord, origin):
+        calls.append((self.diagonal_key(), chord, origin))
+        return honest(self, chord, origin)
+
+    monkeypatch.setattr(Triangulation, "crossing_labels_from", counted)
+    assert all_pass(run_checks(3, "full"))
+    assert calls
+    assert len(set(calls)) == len(calls)
+
+
+def test_memoized_crossing_steps_match_a_fresh_triangulation():
+    diagonals = all_polygon_diagonals(4)
+    for t in all_triangulations(4):
+        for chord in diagonals:
+            for origin in chord.endpoints():
+                cluster_variable_recursive(t, chord, origin)
+        for chord in diagonals:
+            for origin in chord.endpoints():
+                step = first_crossing_step(t, chord, origin)
+                assert first_crossing_step(t, chord, origin) is step
+                fresh = Triangulation(t.n, t.edges)
+                assert step == first_crossing_step(fresh, chord, origin)
