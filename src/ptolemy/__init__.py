@@ -25,7 +25,6 @@ from .oracle import (
     ExchangeMatrix,
     ExchangeRelation,
     cluster_variable_recursive,
-    crossing_count,
     exchange_matrix,
     exchange_relation,
     initial_coefficients,
@@ -85,7 +84,6 @@ __all__ = [
     "cluster_variable_recursive",
     "crosses",
     "crosses_before",
-    "crossing_count",
     "crossing_position",
     "denominator_vector",
     "enumerate_t_paths",

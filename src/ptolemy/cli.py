@@ -177,11 +177,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     origin = spec.orient if spec.orient is not None else chord.u
     if not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
-    label = t.label_of(chord)
-    if label is not None:
-        paths = [f"({origin},{chord.other_end(origin)} | {label})"]
-    else:
-        paths = [str(p) for p in enumerate_t_paths(t, origin, chord.other_end(origin))]
+    paths = [str(p) for p in enumerate_t_paths(t, origin, chord.other_end(origin))]
     if spec.fmt == "structured":
         print(
             json.dumps(

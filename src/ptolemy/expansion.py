@@ -31,9 +31,9 @@ def expand(
     ``origin`` picks which endpoint anchors the crossing order during
     enumeration; the result is independent of the choice (asserted by the
     test suite, not assumed here) and defaults to the smaller endpoint.
-    A chord already in the triangulation is its own variable.  The paths are
-    read from the table ``paths`` when given (it is never changed), else
-    enumerated.
+    A chord already in the triangulation has the one-edge path alone, so it
+    is its own variable.  The paths are read from the table ``paths`` when
+    given (it is never changed), else enumerated.
     """
     nv = t.n_vertices
     chord.validate(nv)
@@ -44,9 +44,6 @@ def expand(
     elif not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
     nvars = t.n_labels
-    label = t.label_of(chord)
-    if label is not None:
-        return LaurentPolynomial.variable(label, nvars)
     found = _paths_between(t, origin, chord.other_end(origin), paths=paths)
     return LaurentPolynomial.from_keys(nvars, _weight_keys(found, nvars))
 
@@ -78,18 +75,24 @@ def check_positivity(poly: LaurentPolynomial) -> bool:
 
 
 def denominator_vector(
-    t: Triangulation, chord: Arc, *, paths: PathTable | None = None
+    t: Triangulation, chord: Arc, *, poly: LaurentPolynomial | None = None
 ) -> tuple[int, ...]:
     """Per-variable denominator exponents of the chord's expansion.
 
     Entry i is the largest power of 1/x_i appearing in any term (0 when x_i
-    never appears inverted).  The result must coincide with the indicator of
-    which diagonals cross the chord, with every boundary entry zero; a
-    mismatch means the enumeration itself is broken and raises
-    ``InvariantError``.  ``paths`` is as for ``expand``.
+    never appears inverted), read in one pass over the terms.  The result
+    must coincide with the indicator of which diagonals cross the chord, with
+    every boundary entry zero; a mismatch means the enumeration itself is
+    broken and raises ``InvariantError``.  ``poly`` is the chord's expansion
+    when the caller already has it (it is never changed); without it the
+    chord is expanded here.
     """
-    poly = expand(t, chord, paths=paths)
-    vec = tuple(max(0, -poly.min_exponent(i)) for i in range(1, t.n_labels + 1))
+    if poly is None:
+        poly = expand(t, chord)
+    elif poly.nvars != t.n_labels:
+        raise InputError(f"expansion has {poly.nvars} variables, expected {t.n_labels}")
+    exps = [e for e, _ in poly.terms()]
+    vec = tuple(max(0, -min(column)) for column in zip(*exps))
     crossing = set(t.crossing_labels(chord))
     expected = tuple(1 if i in crossing else 0 for i in range(1, t.n_labels + 1))
     if vec != expected:

@@ -46,7 +46,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, or_
+from operator import or_
 from struct import Struct
 from types import MappingProxyType
 
@@ -129,18 +129,6 @@ class Monomial:
         if self.coefficient == 0:
             raise InputError("monomial coefficient must be nonzero")
         object.__setattr__(self, "exponents", tuple(self.exponents))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.nvars != other.nvars:
-            raise InputError(f"rank mismatch: {self.nvars} vs {other.nvars}")
-        return Monomial(
-            self.coefficient * other.coefficient,
-            tuple(map(add, self.exponents, other.exponents)),
-        )
 
     def __str__(self) -> str:
         return render_term(self.coefficient, self.exponents)
@@ -361,7 +349,6 @@ class TropicalMonomial:
 
     Exponents are stored as a full-length vector over all 2n+3 variables; the
     entries for diagonal labels must be zero and all exponents non-negative.
-    The semifield addition is the componentwise minimum.
     """
 
     rank: int
@@ -389,21 +376,6 @@ class TropicalMonomial:
         for label in labels:
             exps[label - 1] += 1
         return cls(rank, tuple(exps))
-
-    def tropical_add(self, other: "TropicalMonomial") -> "TropicalMonomial":
-        """Componentwise minimum of exponents (the auxiliary addition)."""
-        if self.rank != other.rank:
-            raise InputError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return TropicalMonomial(
-            self.rank, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def __mul__(self, other: "TropicalMonomial") -> "TropicalMonomial":
-        if self.rank != other.rank:
-            raise InputError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return TropicalMonomial(
-            self.rank, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
 
     def render(self) -> str:
         factors = render_factors(self.exponents)

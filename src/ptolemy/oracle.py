@@ -27,9 +27,6 @@ class ExchangeMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
-    def top_block(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[: self.n] for row in self.rows[: self.n])
-
     def render(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
@@ -105,11 +102,6 @@ def exchange_relation(t: Triangulation, k: int) -> ExchangeRelation:
     """
     quad = t.quadrilateral(k)
     return ExchangeRelation(k, quad.replacement, quad.opposite_pairs)
-
-
-def crossing_count(t: Triangulation, arc: Arc) -> int:
-    """Number of the triangulation's diagonals crossing the given arc."""
-    return len(t.crossing_labels(arc))
 
 
 def cluster_variable_recursive(

@@ -262,9 +262,6 @@ class Triangulation:
     def diagonal_arcs(self) -> tuple[Arc, ...]:
         return self.edges[: self.n]
 
-    def boundary_arcs(self) -> tuple[Arc, ...]:
-        return self.edges[self.n :]
-
     def diagonal_key(self) -> tuple[Arc, ...]:
         """Sorted diagonal set; identifies the triangulation up to relabeling."""
         return tuple(sorted(self.diagonal_arcs()))

@@ -3,7 +3,11 @@
 One pass visits every triangulation of the (n+3)-gon and, in it, every
 diagonal once.  Per triangulation it enumerates the paths for both
 orientations of every diagonal into one table, which every row reads through
-the ``paths=`` argument of the expansion checks.  The path-set oracle gets a
+the ``paths=`` argument of the expansion checks.  Each diagonal is expanded
+once from its smaller endpoint; the agreement row compares that polynomial
+with the expansion from the other endpoint and with both recursion
+orientations, and the unit-coefficient and denominator rows read it as it
+is (``denominator_vector``'s ``poly=``).  The path-set oracle gets a
 table of its own, filled one source vertex at a time by a single brute-force
 walk to all of that vertex's targets (fixed for the sweep), and only while
 its row is running, so a skipped or failed row walks nothing.  The crossing
@@ -90,18 +94,18 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         for chord in diagonals:
             where = f"{chord} in {key}"
             seeded = t.contains(chord)
+            poly = expand(t, chord, paths=table)
             if _running(recursion):
-                polys = [expand(t, chord, o, paths=table) for o in chord.endpoints()]
-                polys += [cluster_variable_recursive(t, chord, o) for o in chord.endpoints()]
-                _tally(recursion, where if any(p != polys[0] for p in polys[1:]) else None)
+                others = [expand(t, chord, chord.v, paths=table)]
+                others += [cluster_variable_recursive(t, chord, o) for o in chord.endpoints()]
+                _tally(recursion, where if any(p != poly for p in others) else None)
             if _running(units) and not seeded:
-                poly = expand(t, chord, paths=table)
                 ok = check_positivity(poly) and len(poly) == len(table[chord.u, chord.v])
                 _tally(units, None if ok else where)
             if _running(denominators):
                 failure = None
                 try:
-                    denominator_vector(t, chord, paths=table)
+                    denominator_vector(t, chord, poly=poly)
                 except InvariantError:
                     failure = where
                 _tally(denominators, failure)

@@ -274,6 +274,13 @@ class TestInputErrors:
         assert code == 2
         assert "boundary" in err
 
+    def test_boundary_target_has_no_paths(self, capsys):
+        code, out, err = run_cli(
+            capsys, "paths", "--n", "1", "--diagonals", "1-3", "--target", "1-2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "diagonals, message",
         [

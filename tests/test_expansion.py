@@ -5,6 +5,7 @@ import pytest
 from ptolemy import (
     Arc,
     InputError,
+    InvariantError,
     LaurentPolynomial,
     TPath,
     all_polygon_diagonals,
@@ -103,6 +104,16 @@ class TestDenominatorVector:
 
     def test_contained_chord(self, octagon):
         assert denominator_vector(octagon, Arc(2, 6)) == (0,) * 13
+
+    def test_given_expansion(self, octagon):
+        chord = Arc(3, 7)
+        vec = denominator_vector(octagon, chord, poly=expand(octagon, chord))
+        assert vec == exponents(13, {1: 1, 3: 1, 5: 1})
+        # the vector is read from the polynomial given, not from a new expansion
+        with pytest.raises(InvariantError):
+            denominator_vector(octagon, chord, poly=expand(octagon, Arc(2, 6)))
+        with pytest.raises(InputError):
+            denominator_vector(octagon, chord, poly=LaurentPolynomial.variable(1, 5))
 
     def test_matches_crossing_indicator(self):
         for n in range(1, 4):

@@ -74,7 +74,7 @@ class TestBuildTriangulation:
 
     def test_square(self, square):
         assert square.n_vertices == 4
-        assert square.boundary_arcs() == (Arc(1, 2), Arc(2, 3), Arc(3, 4), Arc(1, 4))
+        assert square.edges[square.n :] == (Arc(1, 2), Arc(2, 3), Arc(3, 4), Arc(1, 4))
 
     def test_pentagon_variants(self):
         build_triangulation(2, [(1, 3), (3, 5)])
@@ -245,10 +245,13 @@ class TestCrossingLabelsOrdered:
 
     def test_contained_chord_is_empty(self, octagon):
         assert octagon.crossing_labels_from(octagon.arc(2), 4) == []
+        assert octagon.crossing_labels(Arc(2, 6)) == []
 
     def test_boundary_rejected(self, octagon):
         with pytest.raises(InputError):
             octagon.crossing_labels_from(Arc(1, 2), 1)
+        # the unordered crossing set of a boundary edge is empty, not an error
+        assert octagon.crossing_labels(Arc(1, 2)) == []
 
 
 def _maximal_noncrossing_sets(n):

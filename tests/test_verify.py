@@ -256,19 +256,22 @@ def test_report_rendering_flags_failures():
     assert all_pass([rows[0], rows[2]])
 
 
-def test_denominator_row_fails_on_a_faulty_expansion(monkeypatch):
-    monkeypatch.setattr(ptolemy.expansion, "expand", skewed_expand)
-    (row,) = [row for row in run_checks(2, "quick") if row.name == "denominator-vectors"]
+def test_denominator_row_fails_on_a_faulty_expansion():
+    # the sweep's own expand builds the polynomial the denominator row reads
+    with injected(_honest_expand, skewed_expand):
+        rows = run_checks(2, "quick")
+    (row,) = [row for row in rows if row.name == "denominator-vectors"]
     assert row.status == "fail"
     assert row.detail == _first_chord_crossing_label_1(2)
 
 
 def test_denominator_row_fails_under_optimization():
     out = run_optimized(
-        "import ptolemy.expansion, test_verify\n"
+        "from test_verify import _honest_expand, injected, skewed_expand\n"
         "from ptolemy.verify import run_checks\n"
-        "ptolemy.expansion.expand = test_verify.skewed_expand\n"
-        "for row in run_checks(2, 'quick'):\n"
+        "with injected(_honest_expand, skewed_expand):\n"
+        "    rows = run_checks(2, 'quick')\n"
+        "for row in rows:\n"
         "    if row.name == 'denominator-vectors':\n"
         "        print(row.status)\n"
         "        print(row.detail)\n"
@@ -304,6 +307,21 @@ def test_sweep_enumerates_each_ordered_pair_once_per_triangulation():
     with injected(_honest_enumerate, counted):
         assert all_pass(run_checks(3, "full"))
     # 14 triangulations of the hexagon, 9 diagonals, both orientations of each
+    assert len(calls) == 2 * 9 * 14
+    assert len(set(calls)) == len(calls)
+
+
+def test_sweep_expands_each_chord_once_per_orientation_per_triangulation():
+    calls = []
+
+    def counted(t, chord, origin=None, *, paths=None):
+        calls.append((t.diagonal_key(), chord, origin))
+        return _honest_expand(t, chord, origin, paths=paths)
+
+    with injected(_honest_expand, counted):
+        assert all_pass(run_checks(3, "full"))
+    # 14 triangulations of the hexagon, 9 diagonals, one expansion from each
+    # endpoint; the unit-coefficient and denominator rows read the first
     assert len(calls) == 2 * 9 * 14
     assert len(set(calls)) == len(calls)
 
