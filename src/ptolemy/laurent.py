@@ -29,9 +29,11 @@ whole key negative.  Products and ``divide_by_variable`` OR their keys together
 once and raise ``InputError`` when that sets any bit outside the value fields.
 Distinct exponent vectors in the window keep distinct keys, so a spilled key
 never merges with the key of another vector.  Keys are decoded only at the
-public boundaries: ``terms`` (and so ``render``, ``to_term_list`` and
+public boundaries: ``terms`` (and so ``to_term_list`` and
 ``substitute_ones``) and ``evaluate`` unpack whole keys, and ``min_exponent``
-reads one field with a shift and a mask.
+reads one field with a shift and a mask.  ``render`` slices each key's bytes
+into blocks of eight fields and formats each (offset, block) pair once, in a
+memo that dies with the call; the terms of one expansion share most blocks.
 
 A product with a one-term operand ``k * x^m`` adds ``key(m) - zero`` to each
 key of the other operand, with no merging: a shift by a fixed vector is
@@ -59,6 +61,7 @@ MIN_EXPONENT = -BIAS
 MAX_EXPONENT = BIAS - 1
 _FIELD_BITS = 8
 _FIELD_MASK = 0xFF
+_RENDER_BLOCK = 8  # fields per memoized block of ``LaurentPolynomial.render``
 # Field byte -> its exponent as a signed byte.
 _SIGNED_EXPONENT = bytes((b - BIAS) & _FIELD_MASK for b in range(1 << _FIELD_BITS))
 
@@ -97,25 +100,34 @@ def _unpack(key: int, nvars: int) -> Exponents:
     return _signed_bytes(nvars).unpack(key.to_bytes(nvars, "big").translate(_SIGNED_EXPONENT))
 
 
-def render_factors(exponents: Exponents) -> list[str]:
-    """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
+def _factors(exponents: Iterable[int], start: int = 1) -> tuple[list[str], list[str]]:
+    """Positive and negative factor strings like x7 or x3^-1, from x_start up."""
     pos = []
     neg = []
-    for i, e in enumerate(exponents, start=1):
+    for i, e in enumerate(exponents, start=start):
         if e > 0:
             pos.append(f"x{i}" if e == 1 else f"x{i}^{e}")
         elif e < 0:
             neg.append(f"x{i}^{e}")
+    return pos, neg
+
+
+def render_factors(exponents: Exponents) -> list[str]:
+    """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
+    pos, neg = _factors(exponents)
     return pos + neg
 
 
-def render_term(coefficient: int, exponents: Exponents) -> str:
-    factors = render_factors(exponents)
+def _term_text(coefficient: int, factors: list[str]) -> str:
     if not factors:
         return str(coefficient)
     if coefficient == 1:
         return "*".join(factors)
     return "*".join([str(coefficient)] + factors)
+
+
+def render_term(coefficient: int, exponents: Exponents) -> str:
+    return _term_text(coefficient, render_factors(exponents))
 
 
 @dataclass(frozen=True)
@@ -322,7 +334,20 @@ class LaurentPolynomial:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(render_term(coeff, exps) for exps, coeff in self.terms())
+        memo: dict[tuple[int, bytes], tuple[list[str], list[str]]] = {}
+        out = []
+        for key, coeff in sorted(self._terms.items()):
+            raw = key.to_bytes(self.nvars, "big")
+            pos, neg = [], []
+            for offset in range(0, self.nvars, _RENDER_BLOCK):
+                block = raw[offset : offset + _RENDER_BLOCK]
+                factors = memo.get((offset, block))
+                if factors is None:
+                    factors = memo[offset, block] = _factors([b - BIAS for b in block], offset + 1)
+                pos += factors[0]
+                neg += factors[1]
+            out.append(_term_text(coeff, pos + neg))
+        return " + ".join(out)
 
     def to_term_list(self) -> list[dict]:
         return [

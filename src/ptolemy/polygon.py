@@ -289,6 +289,20 @@ class Triangulation:
             by_vertex[arc.v].append(label)
         return {v: tuple(sorted(labels)) for v, labels in by_vertex.items()}
 
+    @cached_property
+    def _ends(self) -> dict[int, tuple[int, int]]:
+        """Label -> its arc's (u, v); a label outside 1..2n+3 is absent."""
+        return {i + 1: (arc.u, arc.v) for i, arc in enumerate(self.edges)}
+
+    @cached_property
+    def _steps(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Vertex -> (label, 1 << label, far end) per incident edge, ascending label."""
+        edges = self.edges
+        return {
+            v: tuple((lab, 1 << lab, edges[lab - 1].other_end(v)) for lab in labels)
+            for v, labels in self._incidence.items()
+        }
+
     def incident_labels(self, vertex: int) -> tuple[int, ...]:
         _require_vertex(vertex, self.n_vertices)
         return self._incidence[vertex]

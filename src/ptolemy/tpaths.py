@@ -26,9 +26,12 @@ target's crossing table; ``brute_force_t_paths`` is that walk for a single
 target.  Both routes list paths in lexicographic order of their label
 sequences.  Each chord gets one table of crossing positions
 (``crossing_keys``), and the search, its validator calls and the oracle's
-all read it.  Every path the pruned search emits is checked against all six
-rules at a cost linear in its length, and a failure raises
-``InvariantError``, under ``python -O`` as well.
+all read it; both walks step along one table per triangulation
+(``Triangulation._steps``).  Every path the pruned search emits is checked
+against all six rules at a cost linear in its length, and a failure raises
+``InvariantError``, under ``python -O`` as well.  Vertex and label ranges are
+checked only when the lengths mismatch or rule 1 or 2 fails (or the path is
+empty), since rule 2 holding implies them (see ``is_valid_t_path``).
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ class PathCheck:
     detail: str = ""
 
 
+_VALID = PathCheck(True)
+
+
 def _require_endpoints(t: Triangulation, source: int, target: int) -> Arc:
     chord = Arc(source, target)
     chord.validate(t.n_vertices)
@@ -102,37 +108,38 @@ def is_valid_t_path(
 ) -> PathCheck:
     """Check the six rules, reporting the first one violated.
 
-    Malformed candidates (labels out of range, vertex/label length mismatch)
-    are input errors rather than rule violations.  ``keys`` is the table
-    ``crossing_keys(t, source, target)`` returns; a caller checking many paths
-    between the same endpoints builds it once and passes it in, and the check
-    then costs time linear in the path's length.
+    Malformed candidates (a vertex out of range, else a label, else a length
+    mismatch) are input errors rather than rule violations.  ``keys`` is the
+    table ``crossing_keys(t, source, target)`` returns; a caller checking many
+    paths between the same endpoints builds it once and passes it in, and the
+    check then costs time linear in the path's length.
+
+    The ranges are checked only when the lengths mismatch, rule 1 or 2 fails
+    or there are no labels: rule 2 holding on a step puts its label in 1..2n+3
+    and its vertices on an edge.
     """
     if keys is None:
         keys = crossing_keys(t, source, target)
-    nv, n_labels = t.n_vertices, t.n_labels
     vertices, labels = candidate.vertices, candidate.labels
-    for v in vertices:
-        if not 1 <= v <= nv:
-            raise InputError(f"vertex {v} out of range 1..{nv}")
-    for lab in labels:
-        if not 1 <= lab <= n_labels:
-            raise InputError(f"label {lab} out of range 1..{n_labels}")
     if len(vertices) != len(labels) + 1:
+        _require_ranges(t, candidate)
         raise InputError(
             f"{len(labels)} labels need {len(labels) + 1} vertices, got {len(vertices)}"
         )
-
     if vertices[0] != source or vertices[-1] != target:
+        _require_ranges(t, candidate)
         return PathCheck(False, 1, "path must run from the source vertex to the target")
-    edges = t.edges
+    ends = t._ends
     for lab, a, b in zip(labels, vertices, vertices[1:]):
-        arc = edges[lab - 1]
-        if not (arc.u == a and arc.v == b or arc.u == b and arc.v == a):
+        e = ends.get(lab)
+        if e is None or (e[0] != a or e[1] != b) and (e[0] != b or e[1] != a):
+            _require_ranges(t, candidate)
             return PathCheck(False, 2, f"edge {lab} does not join {a} and {b}")
     if len(set(labels)) != len(labels):
         return PathCheck(False, 3, "repeated edge label")
     if len(labels) % 2 == 0:
+        if not labels:
+            _require_ranges(t, candidate)
         return PathCheck(False, 4, f"even length {len(labels)}")
     for lab in labels[1::2]:
         if lab not in keys:
@@ -145,7 +152,17 @@ def is_valid_t_path(
         if last is not None and key <= last:
             return PathCheck(False, 6, f"edge {lab} crosses out of order")
         last = key
-    return PathCheck(True)
+    return _VALID
+
+
+def _require_ranges(t: Triangulation, candidate: TPath) -> None:
+    nv, n_labels = t.n_vertices, t.n_labels
+    for v in candidate.vertices:
+        if not 1 <= v <= nv:
+            raise InputError(f"vertex {v} out of range 1..{nv}")
+    for lab in candidate.labels:
+        if not 1 <= lab <= n_labels:
+            raise InputError(f"label {lab} out of range 1..{n_labels}")
 
 
 def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]:
@@ -160,28 +177,24 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
     fails raises ``InvariantError``.
     """
     keys = crossing_keys(t, source, target)
-    incidence = {v: t.incident_labels(v) for v in range(1, t.n_vertices + 1)}
-    arcs = t.edges
+    steps = t._steps
     out: list[TPath] = []
     vertices = [source]
     labels: list[int] = []
 
-    def extend(vertex: int, used: int, last_key: tuple[int, int] | None) -> None:
-        odd_position = len(labels) % 2 == 0
-        for lab in incidence[vertex]:
-            bit = 1 << lab
+    def extend(vertex: int, used: int, last_key: tuple[int, int] | None, odd: bool) -> None:
+        for lab, bit, nxt in steps[vertex]:
             if used & bit:
                 continue
             key = keys.get(lab)
             if key is None:
-                if not odd_position:
+                if not odd:
                     continue
             elif last_key is not None and key <= last_key:
                 continue
-            nxt = arcs[lab - 1].other_end(vertex)
             labels.append(lab)
             vertices.append(nxt)
-            if nxt == target and len(labels) % 2 == 1:
+            if odd and nxt == target:
                 path = TPath(tuple(vertices), tuple(labels))
                 check = is_valid_t_path(t, source, target, path, keys=keys)
                 if not check.ok:
@@ -189,11 +202,11 @@ def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]
                         f"enumerated {path} breaks rule {check.violated}: {check.detail}"
                     )
                 out.append(path)
-            extend(nxt, used | bit, key if key is not None else last_key)
+            extend(nxt, used | bit, key if key is not None else last_key, not odd)
             labels.pop()
             vertices.pop()
 
-    extend(source, 0, None)
+    extend(source, 0, None, True)
     return out
 
 
@@ -219,29 +232,26 @@ def brute_force_t_path_table(
             f"brute-force enumeration is guarded at rank {MAX_BRUTE_FORCE_RANK}, got {t.n}"
         )
     keys = {target: crossing_keys(t, source, target) for target in targets}
-    incidence = {v: t.incident_labels(v) for v in range(1, t.n_vertices + 1)}
-    arcs = t.edges
+    steps = t._steps
     out: dict[int, list[TPath]] = {target: [] for target in keys}
     vertices = [source]
     labels: list[int] = []
 
-    def extend(vertex: int, used: int) -> None:
-        for lab in incidence[vertex]:
-            bit = 1 << lab
+    def extend(vertex: int, used: int, odd: bool) -> None:
+        for lab, bit, nxt in steps[vertex]:
             if used & bit:
                 continue
-            nxt = arcs[lab - 1].other_end(vertex)
             labels.append(lab)
             vertices.append(nxt)
-            if nxt in keys and len(labels) % 2 == 1:
+            if odd and nxt in keys:
                 path = TPath(tuple(vertices), tuple(labels))
                 if is_valid_t_path(t, source, nxt, path, keys=keys[nxt]).ok:
                     out[nxt].append(path)
-            extend(nxt, used | bit)
+            extend(nxt, used | bit, not odd)
             labels.pop()
             vertices.pop()
 
-    extend(source, 0)
+    extend(source, 0, True)
     return out
 
 

@@ -318,6 +318,26 @@ def test_serialization_matches_a_tuple_keyed_reference(case):
     assert p.to_term_list() == [{"coefficient": c, "exponents": list(e)} for e, c in ordered]
 
 
+@pytest.mark.parametrize("nvars", [1, 7, 8, 9, 16, 17, 51])
+def test_render_memo_keys_each_block_by_offset_and_content(nvars):
+    """Terms assembled from a few 8-field blocks, so that one block recurs at
+    one offset and at several offsets; render memoizes factor strings per
+    (offset, block) and must agree with rendering each term on its own."""
+    rng = random.Random(nvars)
+    edge = [-64, -1, 0, 1, 2, 63]
+    pool = [tuple(rng.choice(edge + [rng.randint(-64, 63)]) for _ in range(8)) for _ in range(3)]
+    terms = []
+    for _ in range(40):
+        exps = sum((rng.choice(pool) for _ in range(0, nvars, 8)), ())[:nvars]
+        terms.append((exps, rng.choice([-3, -2, -1, 1, 2, 3])))
+    constant = [((0,) * nvars, -2)]
+    for p in (LaurentPolynomial(nvars, terms), LaurentPolynomial(nvars, terms + constant)):
+        assert len(p) > 1
+        assert p.render() == " + ".join(render_term(c, e) for e, c in p.terms())
+    assert LaurentPolynomial(nvars, constant).render() == "-2"
+    assert LaurentPolynomial.zero(nvars).render() == "0"
+
+
 class TestMonomial:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(InputError):

@@ -18,6 +18,7 @@ from ptolemy import (
     enumerate_t_paths,
     is_valid_t_path,
     path_weight,
+    snake_triangulation,
 )
 from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_PATHS, exponents, run_optimized
@@ -101,6 +102,54 @@ class TestValidator:
             is_valid_t_path(octagon, 3, 4, TPath((3, 4), (8,)))
 
 
+def _input_error(t, source, target, candidate, keys):
+    with pytest.raises(InputError) as exc:
+        is_valid_t_path(t, source, target, candidate, keys=keys)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("prebuilt", [False, True], ids=["own-table", "prebuilt-table"])
+class TestErrorPrecedence:
+    """A candidate both malformed and breaking a rule gets the input error, and
+    among input errors the vertex range comes first, then the label range,
+    then the length mismatch."""
+
+    @pytest.mark.parametrize(
+        "vertices, labels, message",
+        [
+            ((3, 99, 7), (7, 3), "vertex 99 out of range 1..8"),
+            ((4, 7), (0,), "label 0 out of range 1..13"),
+            ((3, 2, 7), (7,), "1 labels need 2 vertices, got 3"),
+        ],
+    )
+    def test_exact_message(self, octagon, prebuilt, vertices, labels, message):
+        keys = crossing_keys(octagon, 3, 7) if prebuilt else None
+        assert _input_error(octagon, 3, 7, TPath(vertices, labels), keys) == message
+
+    @pytest.mark.parametrize("bad", [0, 14])
+    def test_bad_label_anywhere_in_a_listed_path(self, octagon, prebuilt, bad):
+        keys = crossing_keys(octagon, 3, 7) if prebuilt else None
+        for vertices, labels in OCTAGON_PATHS:
+            for i in range(len(labels)):
+                broken = TPath(vertices, labels[:i] + (bad,) + labels[i + 1 :])
+                message = _input_error(octagon, 3, 7, broken, keys)
+                assert message == f"label {bad} out of range 1..13"
+
+    def test_label_zero_does_not_wrap_to_the_last_edge(self, octagon, prebuilt):
+        # The middle step joins 8 and 1, the ends of label 13 = edges[-1].
+        keys = crossing_keys(octagon, 7, 2) if prebuilt else None
+        candidate = TPath((7, 8, 1, 2), (12, 0, 6))
+        assert _input_error(octagon, 7, 2, candidate, keys) == "label 0 out of range 1..13"
+
+
+def test_label_less_path_is_range_checked(octagon):
+    # A table passed for equal endpoints lets rule 1 hold on a single vertex.
+    with pytest.raises(InputError, match="^vertex 99 out of range 1..8$"):
+        is_valid_t_path(octagon, 99, 99, TPath((99,), ()), keys={})
+    check = is_valid_t_path(octagon, 3, 3, TPath((3,), ()), keys={})
+    assert not check.ok and check.violated == 4
+
+
 class TestEnumerate:
     def test_octagon_lists_all_five(self, octagon):
         paths = enumerate_t_paths(octagon, 3, 7)
@@ -166,6 +215,19 @@ class TestEmissionCheck:
             "    print(exc)\n"
         )
         assert "breaks rule 5: injected fault" in out
+
+    def test_every_emitted_path_is_checked_once(self, monkeypatch):
+        calls = []
+        check = ptolemy.tpaths.is_valid_t_path
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(ptolemy.tpaths, "is_valid_t_path", counting)
+        paths = enumerate_t_paths(snake_triangulation(10), 3, 9)
+        assert len(paths) == 144
+        assert calls == paths
 
 
 class TestBruteForce:
