@@ -23,10 +23,8 @@ from .expansion import (
 from .laurent import LaurentPolynomial, Monomial, TropicalMonomial
 from .oracle import (
     ExchangeMatrix,
-    ExchangeRelation,
     cluster_variable_recursive,
     exchange_matrix,
-    exchange_relation,
     initial_coefficients,
 )
 from .polygon import (
@@ -61,7 +59,6 @@ __all__ = [
     "BijectionReport",
     "CrossingStep",
     "ExchangeMatrix",
-    "ExchangeRelation",
     "FlipQuadrilateral",
     "InputError",
     "InvariantError",
@@ -88,7 +85,6 @@ __all__ = [
     "denominator_vector",
     "enumerate_t_paths",
     "exchange_matrix",
-    "exchange_relation",
     "expand",
     "expand_trivial_coefficients",
     "first_crossing_step",

@@ -19,7 +19,14 @@ from .errors import InputError, ResourceLimitError
 from .expansion import expand, expand_trivial_coefficients
 from .laurent import LaurentPolynomial
 from .oracle import exchange_matrix, initial_coefficients
-from .polygon import Arc, Triangulation, build_triangulation, flip_graph
+from .polygon import (
+    Arc,
+    Triangulation,
+    all_triangulations,
+    build_triangulation,
+    flip_graph,
+    snake_triangulation,
+)
 from .tpaths import enumerate_t_paths
 from .verify import LEVELS, all_pass, render_report, run_checks
 
@@ -134,16 +141,11 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     return ProblemSpec(n, diagonals, target, orient, trivial, fmt or "text")
 
 
-def _expansion_payload(spec: ProblemSpec, chord: Arc, origin: int, poly: LaurentPolynomial) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "labeling": LABELING,
-        "n": spec.n,
-        "target": [chord.u, chord.v],
-        "origin": origin,
-        "trivial_coefficients": spec.trivial_coefficients,
-        "terms": poly.to_term_list(),
-    }
+def _structured(n: int, **fields: object) -> str:
+    """Versioned JSON document: the format header, then ``fields`` in call order."""
+    return json.dumps(
+        {"format_version": FORMAT_VERSION, "labeling": LABELING, "n": n, **fields}, indent=2
+    )
 
 
 def polynomial_from_payload(payload: dict) -> LaurentPolynomial:
@@ -154,44 +156,40 @@ def polynomial_from_payload(payload: dict) -> LaurentPolynomial:
     return LaurentPolynomial.from_term_list(nvars, payload["terms"])
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _problem(args: argparse.Namespace) -> tuple[ProblemSpec, Triangulation, Arc, int]:
+    """The spec, its triangulation, the target chord and the origin (default: smaller end)."""
     spec = _load_spec(args)
     t = spec.triangulation()
     chord = spec.chord()
-    origin = spec.orient if spec.orient is not None else chord.u
-    if spec.trivial_coefficients:
-        poly = expand_trivial_coefficients(t, chord, origin)
-    else:
-        poly = expand(t, chord, origin)
+    return spec, t, chord, spec.orient if spec.orient is not None else chord.u
+
+
+def _cmd_expand(args: argparse.Namespace) -> int:
+    spec, t, chord, origin = _problem(args)
+    expander = expand_trivial_coefficients if spec.trivial_coefficients else expand
+    poly = expander(t, chord, origin)
     if spec.fmt == "structured":
-        print(json.dumps(_expansion_payload(spec, chord, origin, poly), indent=2))
+        print(
+            _structured(
+                spec.n,
+                target=chord.endpoints(),
+                origin=origin,
+                trivial_coefficients=spec.trivial_coefficients,
+                terms=poly.to_term_list(),
+            )
+        )
     else:
         print(poly.render())
     return 0
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    t = spec.triangulation()
-    chord = spec.chord()
-    origin = spec.orient if spec.orient is not None else chord.u
+    spec, t, chord, origin = _problem(args)
     if not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
     paths = [str(p) for p in enumerate_t_paths(t, origin, chord.other_end(origin))]
     if spec.fmt == "structured":
-        print(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "labeling": LABELING,
-                    "n": spec.n,
-                    "target": [chord.u, chord.v],
-                    "origin": origin,
-                    "paths": paths,
-                },
-                indent=2,
-            )
-        )
+        print(_structured(spec.n, target=chord.endpoints(), origin=origin, paths=paths))
     else:
         for line in paths:
             print(line)
@@ -199,8 +197,6 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from .polygon import snake_triangulation
-
     if args.diagonals is None and args.spec_file is None:
         if args.n is None:
             raise InputError("no rank given (use --n)")
@@ -215,26 +211,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     matrix = exchange_matrix(t)
     pairs = initial_coefficients(t)
     if fmt == "structured":
-        print(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "labeling": LABELING,
-                    "n": n,
-                    "matrix": [list(row) for row in matrix.rows],
-                    "coefficients": [
-                        {
-                            "plus": plus.render(),
-                            "minus": minus.render(),
-                            "plus_exponents": list(plus.exponents),
-                            "minus_exponents": list(minus.exponents),
-                        }
-                        for plus, minus in pairs
-                    ],
-                },
-                indent=2,
-            )
-        )
+        coefficients = [
+            {
+                "plus": plus.render(),
+                "minus": minus.render(),
+                "plus_exponents": plus.exponents,
+                "minus_exponents": minus.exponents,
+            }
+            for plus, minus in pairs
+        ]
+        print(_structured(n, matrix=matrix.rows, coefficients=coefficients))
     else:
         print(matrix.render())
         print()
@@ -255,23 +241,10 @@ def _node_name(t: Triangulation) -> str:
 
 
 def _cmd_triangulations(args: argparse.Namespace) -> int:
-    from .polygon import all_triangulations
-
     nodes = all_triangulations(args.n)
-    if (args.format or "text") == "structured":
-        print(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "labeling": LABELING,
-                    "n": args.n,
-                    "triangulations": [
-                        [[arc.u, arc.v] for arc in t.diagonal_key()] for t in nodes
-                    ],
-                },
-                indent=2,
-            )
-        )
+    if args.format == "structured":
+        pairs = [[arc.endpoints() for arc in t.diagonal_key()] for t in nodes]
+        print(_structured(args.n, triangulations=pairs))
     else:
         for t in nodes:
             print(_node_name(t))
@@ -281,19 +254,8 @@ def _cmd_triangulations(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     nodes, edges = flip_graph(args.n)
     names = [_node_name(t) for t in nodes]
-    if (args.format or "text") == "structured":
-        print(
-            json.dumps(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "labeling": LABELING,
-                    "n": args.n,
-                    "nodes": names,
-                    "edges": [list(edge) for edge in edges],
-                },
-                indent=2,
-            )
-        )
+    if args.format == "structured":
+        print(_structured(args.n, nodes=names, edges=edges))
     else:
         print("graph flips {")
         for i, j in edges:
@@ -357,12 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tri = sub.add_parser("triangulations", help="list every triangulation of the polygon")
     p_tri.add_argument("--n", type=int, required=True)
-    p_tri.add_argument("--format", choices=FORMATS, default=None)
+    p_tri.add_argument("--format", choices=FORMATS, default="text")
     p_tri.set_defaults(func=_cmd_triangulations)
 
     p_graph = sub.add_parser("graph", help="export the flip graph")
     p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--format", choices=FORMATS, default=None)
+    p_graph.add_argument("--format", choices=FORMATS, default="text")
     p_graph.set_defaults(func=_cmd_graph)
 
     return parser
@@ -370,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ResourceLimitError) as exc:

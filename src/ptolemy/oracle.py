@@ -80,30 +80,6 @@ def initial_coefficients(
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class ExchangeRelation:
-    """x[flipped] * x[replacement] = x[a]*x[c] + x[b]*x[d] for the flip at one label."""
-
-    flipped: int
-    replacement: Arc
-    pairs: tuple[tuple[int, int], tuple[int, int]]
-
-    def render(self) -> str:
-        (a, c), (b, d) = self.pairs
-        return f"x{self.flipped}*x[{self.replacement}] = x{a}*x{c} + x{b}*x{d}"
-
-
-def exchange_relation(t: Triangulation, k: int) -> ExchangeRelation:
-    """Side labels of the flip quadrilateral at k, grouped into opposite pairs.
-
-    The relation is symmetric under swapping the two pairs, so any fixed
-    grouping works; sides here pair up across the ascending circular order of
-    the quadrilateral's corners.
-    """
-    quad = t.quadrilateral(k)
-    return ExchangeRelation(k, quad.replacement, quad.opposite_pairs)
-
-
 def cluster_variable_recursive(
     t: Triangulation, arc: Arc, origin: int | None = None
 ) -> LaurentPolynomial:

@@ -372,16 +372,11 @@ class Triangulation:
         return labels
 
 
-def build_triangulation(
-    n: int,
-    diagonals: list[tuple[int, int]],
-    label_order: list[int] | None = None,
-) -> Triangulation:
+def build_triangulation(n: int, diagonals: list[tuple[int, int]]) -> Triangulation:
     """Assemble a triangulation from its n diagonals.
 
-    Diagonal labels follow the input order, or ``label_order`` when given
-    (entry i is the label the i-th input pair receives).  Boundary labels
-    always follow the {k, k+1} -> n+k convention.
+    Diagonal labels follow the input order.  Boundary labels always follow
+    the {k, k+1} -> n+k convention.
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
@@ -389,13 +384,6 @@ def build_triangulation(
     if len(diagonals) != n:
         raise InputError(f"expected {n} diagonals, got {len(diagonals)}")
     arcs = [Arc(u, v) for u, v in diagonals]
-    if label_order is not None:
-        if sorted(label_order) != list(range(1, n + 1)):
-            raise InputError(f"label_order must be a permutation of 1..{n}")
-        ordered = list(arcs)
-        for arc, label in zip(arcs, label_order):
-            ordered[label - 1] = arc
-        arcs = ordered
     boundary = [Arc(k, k % nv + 1) for k in range(1, nv + 1)]
     return Triangulation(n, tuple(arcs) + tuple(boundary))
 

@@ -1,6 +1,7 @@
 """Command-line surface: golden text output, structured round trips, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
 )
 
 OCTAGON_ARGS = ["--n", "5", "--diagonals", "2-4,4-6,2-6,2-8,6-8", "--target", "3-7"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +179,24 @@ class TestGraph:
             degree[i] += 1
             degree[j] += 1
         assert all(d == 2 for d in degree.values())
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["expand", *OCTAGON_ARGS], "expand_octagon.json"),
+        (["paths", *OCTAGON_ARGS], "paths_octagon.json"),
+        (["matrix", "--n", "3"], "matrix_n3.json"),
+        (["triangulations", "--n", "2"], "triangulations_n2.json"),
+        (["graph", "--n", "2"], "graph_n2.json"),
+    ],
+    ids=["expand", "paths", "matrix", "triangulations", "graph"],
+)
+def test_structured_output_is_byte_exact(capsys, argv, golden):
+    # Whole stdout: key order, two-space indentation and the trailing newline.
+    code, out, err = run_cli(capsys, *argv, "--format", "structured")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
 
 
 class TestSpecFile:

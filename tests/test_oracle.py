@@ -13,7 +13,6 @@ from ptolemy import (
     all_triangulations,
     cluster_variable_recursive,
     exchange_matrix,
-    exchange_relation,
     expand,
     initial_coefficients,
     snake_triangulation,
@@ -77,23 +76,8 @@ class TestInitialCoefficients:
 
 
 class TestExchangeRelation:
-    def test_square(self, square):
-        relation = exchange_relation(square, 1)
-        assert relation.replacement == Arc(2, 4)
-        assert relation.pairs == ((2, 4), (3, 5))
-
-    def test_octagon_k3(self, octagon):
-        relation = exchange_relation(octagon, 3)
-        assert {frozenset(p) for p in relation.pairs} == {
-            frozenset({1, 5}),
-            frozenset({2, 4}),
-        }
-
-    def test_boundary_rejected(self, square):
-        with pytest.raises(InputError):
-            exchange_relation(square, 3)
-
     def test_identity_on_expansions(self):
+        # Ptolemy relation of each flip quadrilateral:
         # x[flipped]*x[replacement] == x[a]*x[c] + x[b]*x[d], all expanded in a
         # third triangulation; exact polynomial identity
         for n in range(1, 4):
@@ -113,9 +97,9 @@ class TestExchangeRelation:
 
                 for t in triangulations:
                     for k in range(1, n + 1):
-                        relation = exchange_relation(t, k)
-                        (a, c), (b, d) = relation.pairs
-                        lhs = x(t.arc(k)) * x(relation.replacement)
+                        quad = t.quadrilateral(k)
+                        (a, c), (b, d) = quad.opposite_pairs
+                        lhs = x(t.arc(k)) * x(quad.replacement)
                         rhs = x(t.arc(a)) * x(t.arc(c)) + x(t.arc(b)) * x(t.arc(d))
                         assert lhs == rhs
 
