@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InputError, ResourceLimitError
 from .expansion import expand, expand_trivial_coefficients
@@ -264,7 +265,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it keeps no parsed input."""
     parser = argparse.ArgumentParser(
         prog="ptolemy",
         description=(

@@ -33,7 +33,8 @@ def expand(
     test suite, not assumed here) and defaults to the smaller endpoint.
     A chord already in the triangulation has the one-edge path alone, so it
     is its own variable.  The paths are read from the table ``paths`` when
-    given (it is never changed), else enumerated.
+    given (it is never changed) and weighed here; else the search enumerates
+    them and hands back their weights.
     """
     nv = t.n_vertices
     chord.validate(nv)
@@ -44,8 +45,13 @@ def expand(
     elif not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
     nvars = t.n_labels
-    found = _paths_between(t, origin, chord.other_end(origin), paths=paths)
-    return LaurentPolynomial.from_keys(nvars, _weight_keys(found, nvars))
+    target = chord.other_end(origin)
+    if paths is None:
+        keys: list[int] = []
+        enumerate_t_paths(t, origin, target, weights=keys)
+    else:
+        keys = _weight_keys(paths[origin, target], nvars)
+    return LaurentPolynomial.from_keys(nvars, keys)
 
 
 def _weight_keys(paths: Sequence[TPath], nvars: int) -> list[int]:

@@ -13,11 +13,14 @@ to b over the edges of a triangulation are those satisfying six rules:
 
 Rule 6 constrains every crossing edge wherever it sits, not just the
 even-position ones; odd-position edges may cross the chord and some valid
-paths rely on that.  Vertices may repeat, including visits to b mid-path: the
-rules restrict edges only, and emitting a path never terminates its branch of
-the search.
+paths rely on that.  Vertices may repeat, but a and b never appear mid-path.
+No edge at either crosses the chord, so no even-position edge enters or
+leaves them; yet a vertex mid-path is entered by one edge and left by the
+next, and one of the two sits at an even position.
 
-``enumerate_t_paths`` prunes on the rules during a depth-first search;
+``enumerate_t_paths`` walks a per-call table of the moves the rules allow
+from each search state, pruned to the moves from which b stays reachable, and
+hands out each path's packed weight as it finds it;
 ``brute_force_t_path_table`` generates every edge-distinct walk from one
 source and filters with the validator, serving as its independent oracle at
 small rank.  The trails from a source do not depend on the target, so one
@@ -40,7 +43,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, ResourceLimitError
-from .laurent import Monomial
+from .laurent import Monomial, packed_layout
 from .polygon import Arc, Triangulation, crosses, crossing_position
 
 # brute_force_t_paths walks every edge-distinct path; keep it to small ranks.
@@ -165,48 +168,83 @@ def _require_ranges(t: Triangulation, candidate: TPath) -> None:
             raise InputError(f"label {lab} out of range 1..{n_labels}")
 
 
-def enumerate_t_paths(t: Triangulation, source: int, target: int) -> list[TPath]:
+def enumerate_t_paths(
+    t: Triangulation, source: int, target: int, *, weights: list[int] | None = None
+) -> list[TPath]:
     """All admissible paths from source to target, pruned search.
 
-    States track the current vertex, the set of used labels, the parity of the
-    next position and the crossing key of the last chord-crossing edge; any new
-    crossing edge must cross strictly later, and even positions must cross.
-    Emission happens at every odd-length arrival at the target, and the branch
-    keeps extending afterwards.  Every emitted path is checked against the six
-    rules, from the same crossing table the search prunes with; a path that
-    fails raises ``InvariantError``.
+    The search moves from one odd position to the next.  Its state is the
+    current vertex and the rank of the last crossing edge.  A move is an odd
+    step onto the target, which ends the path, or an odd step and the even
+    one after it, which must cross; a crossing edge must cross later than the
+    last one.  Each state's moves are listed once per call, keeping only the
+    moves into states from which the target is still reachable.  That test
+    ignores edge distinctness, so it drops no path; the walk checks
+    distinctness itself.  The rank rises with every move, so the states form
+    an acyclic graph.
+
+    Every emitted path is checked against the six rules, from the same
+    crossing table the search prunes with; a path that fails raises
+    ``InvariantError``.  When ``weights`` is given, each path's packed weight
+    (see ``packed_layout``: odd-position labels up, even-position labels
+    down) is appended to it, in the order of the returned paths.
     """
     keys = crossing_keys(t, source, target)
+    zero, units = packed_layout(t.n_labels)
     steps = t._steps
-    out: list[TPath] = []
-    vertices = [source]
-    labels: list[int] = []
+    # A crossing edge's rank is the sum of its key: the keys of a triangulation's
+    # crossing edges rise componentwise along the chord, so the sums rise strictly.
+    rank_of = {lab: p + q for lab, (p, q) in keys.items()}
+    # (vertex, last rank) -> [(labels, their bits, vertices reached, weight
+    # change, the next state's moves or None at the target), ...]
+    memo: dict[tuple[int, int], list] = {}
 
-    def extend(vertex: int, used: int, last_key: tuple[int, int] | None, odd: bool) -> None:
-        for lab, bit, nxt in steps[vertex]:
-            if used & bit:
+    def moves(vertex: int, last: int) -> list:
+        kept = memo[vertex, last] = []
+        for lab, bit, mid in steps[vertex]:
+            rank = rank_of.get(lab)
+            if rank is None:
+                rank = last
+            elif rank <= last:
                 continue
-            key = keys.get(lab)
-            if key is None:
-                if not odd:
+            if mid == target:
+                kept.append(((lab,), bit, (mid,), units[lab], None))
+                continue
+            for lab2, bit2, nxt in steps[mid]:
+                rank2 = rank_of.get(lab2, 0)
+                if rank2 <= rank:
                     continue
-            elif last_key is not None and key <= last_key:
+                follow = memo.get((nxt, rank2))
+                if follow is None:
+                    follow = moves(nxt, rank2)
+                if follow:
+                    delta = units[lab] - units[lab2]
+                    kept.append(((lab, lab2), bit | bit2, (mid, nxt), delta, follow))
+        return kept
+
+    out: list[TPath] = []
+    found = [] if weights is None else weights
+
+    def walk(options: list, used: int, weight: int, vertices: tuple, labels: tuple) -> None:
+        for labs, bits, reached, delta, follow in options:
+            if used & bits:
                 continue
-            labels.append(lab)
-            vertices.append(nxt)
-            if odd and nxt == target:
-                path = TPath(tuple(vertices), tuple(labels))
+            if follow is None:
+                path = TPath(vertices + reached, labels + labs)
                 check = is_valid_t_path(t, source, target, path, keys=keys)
                 if not check.ok:
                     raise InvariantError(
                         f"enumerated {path} breaks rule {check.violated}: {check.detail}"
                     )
                 out.append(path)
-            extend(nxt, used | bit, key if key is not None else last_key, not odd)
-            labels.pop()
-            vertices.pop()
+                found.append(weight + delta)
+            else:
+                walk(follow, used | bits, weight + delta, vertices + reached, labels + labs)
 
-    extend(source, 0, None, True)
+    walk(moves(source, 0), 0, zero, (source,), ())
+    # Each closure calls itself, so it sits in a reference cycle that would keep
+    # the memo, the paths and the weights alive until the next cycle collection.
+    del moves, walk
     return out
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ptolemy import Arc, build_triangulation, expand
-from ptolemy.cli import main, polynomial_from_payload
+from ptolemy.cli import _build_parser, main, polynomial_from_payload
 from conftest import (
     OCTAGON_DIAGONALS,
     OCTAGON_EXPANSION_TEXT,
@@ -319,3 +319,20 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # The parser is built once per process; neither a rejected argument nor an
+    # input error may leave state behind that changes a later call's output.
+    assert _build_parser() is _build_parser()
+    expand_golden = (GOLDEN / "expand_octagon.json").read_text()
+    assert run_cli(capsys, "expand", *OCTAGON_ARGS, "--format", "structured") == (0, expand_golden, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--n", "x", "--diagonals", "1-3", "--target", "2-4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out, err = run_cli(capsys, "expand", "--n", "1", "--diagonals", "1-3", "--target", "1-2")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert run_cli(capsys, "expand", *OCTAGON_ARGS, "--format", "structured") == (0, expand_golden, "")
+    graph_golden = (GOLDEN / "graph_n2.json").read_text()
+    assert run_cli(capsys, "graph", "--n", "2", "--format", "structured") == (0, graph_golden, "")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ptolemy import (
     all_polygon_diagonals,
     cluster_variable_recursive,
+    enumerate_t_paths,
     expand,
     snake_triangulation,
 )
@@ -54,4 +55,7 @@ def test_recursion_matches_expansion_and_frieze(case):
     assert cluster_variable_recursive(t, chord, chord.v) == poly
     assert all(coeff == 1 for coeff in poly.coefficients())
     diagonals = [(arc.u, arc.v) for arc in t.edges[: t.n]]
-    assert len(poly) == frieze_entry(t.n, diagonals, chord.u, chord.v)
+    terms = frieze_entry(t.n, diagonals, chord.u, chord.v)
+    assert len(poly) == terms
+    # The walk from the other end, with its own pruning, finds as many paths.
+    assert len(enumerate_t_paths(t, chord.v, chord.u)) == terms

@@ -16,10 +16,12 @@ from ptolemy import (
     brute_force_t_path_table,
     brute_force_t_paths,
     enumerate_t_paths,
+    expand,
     is_valid_t_path,
     path_weight,
     snake_triangulation,
 )
+from ptolemy.expansion import _weight_keys
 from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_PATHS, exponents, run_optimized
 
@@ -182,6 +184,13 @@ class TestEnumerate:
                 brute_force_t_paths(t, source, target)
             )
 
+    def test_endpoints_appear_only_at_the_ends(self):
+        # No edge at an endpoint crosses the chord, so no even-position edge
+        # enters or leaves one, and a branch ends where it reaches the target.
+        for t, source, target in small_instances(5):
+            for p in enumerate_t_paths(t, source, target):
+                assert not {source, target} & set(p.vertices[1:-1]), p
+
     def test_structural_bounds(self):
         for t, source, target in small_instances(3):
             crossing = set(t.crossing_labels_from(Arc(source, target), source))
@@ -290,3 +299,17 @@ class TestWeights:
                 assert all(e in (-1, 0, 1) for e in exps)
                 negatives = {i + 1 for i, e in enumerate(exps) if e < 0}
                 assert negatives <= crossing
+
+    def test_walk_weights_match_label_weights(self):
+        # The weights the walk carries, against weights read off each path's
+        # labels, and expand's two routes against each other.
+        snake = snake_triangulation(12)
+        longest = max(all_polygon_diagonals(12), key=lambda c: len(snake.crossing_labels(c)))
+        cases = list(small_instances(4)) + [(snake, longest.u, longest.v), (snake, longest.v, longest.u)]
+        for t, source, target in cases:
+            weights = []
+            paths = enumerate_t_paths(t, source, target, weights=weights)
+            assert paths == enumerate_t_paths(t, source, target)
+            assert weights == _weight_keys(paths, t.n_labels)
+            chord = Arc(source, target)
+            assert expand(t, chord, source) == expand(t, chord, source, paths={(source, target): paths})
