@@ -126,4 +126,6 @@ def cluster_variable_recursive(
         memo[current] = poly
         return poly
 
-    return resolve(arc, origin if origin is not None else arc.u)
+    poly = resolve(arc, origin if origin is not None else arc.u)
+    del resolve  # it calls itself; the cycle would keep the memo alive until collected
+    return poly

@@ -13,10 +13,9 @@ is exact and every ordering total on its intended inputs.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Container
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InputError, InvariantError, ResourceLimitError
 
@@ -85,17 +84,13 @@ def crosses(d1: Arc, d2: Arc, n_vertices: int) -> bool:
     """
     d1.validate(n_vertices)
     d2.validate(n_vertices)
-    return _crosses(d1, d2, n_vertices)
+    return _crosses(d1, d2)
 
 
-def _crosses(d1: Arc, d2: Arc, n_vertices: int) -> bool:
-    """``crosses`` for arcs already validated against ``n_vertices``."""
-    if d1.u in (d2.u, d2.v) or d1.v in (d2.u, d2.v):
-        return False
-    span = ccw_steps(d1.u, d1.v, n_vertices)
-    inside_u = 0 < ccw_steps(d1.u, d2.u, n_vertices) < span
-    inside_v = 0 < ccw_steps(d1.u, d2.v, n_vertices) < span
-    return inside_u != inside_v
+def _crosses(d1: Arc, d2: Arc) -> bool:
+    """``crosses`` for validated arcs: with u < v, strict interleaving of the endpoints."""
+    a, b, c, d = d1.u, d1.v, d2.u, d2.v
+    return a < c < b < d or c < a < d < b
 
 
 def crossing_position(d: Arc, origin: int, target: int, n_vertices: int) -> tuple[int, int]:
@@ -142,27 +137,35 @@ def crosses_before(d1: Arc, d2: Arc, chord: Arc, origin: int, n_vertices: int) -
 
 
 def _flip_corners(
-    present: Container[tuple[int, int]], u: int, v: int, n_vertices: int
+    neighbors: dict[int, set[int]], u: int, v: int
 ) -> tuple[tuple[int, int, int, int], tuple[int, int]]:
     """Corners, ascending, and the other diagonal of the quadrilateral around {u, v}.
 
-    ``present`` holds every arc of a triangulation, boundary edges included,
-    as ascending vertex pairs; the diagonal {u, v} (u < v) must be one of them.
-    The two apexes are the vertices joined to both u and v.
+    ``neighbors`` is ``_neighbor_sets`` of every arc of a triangulation, the
+    diagonal {u, v} (u < v) among them.  The two apexes are the vertices
+    joined to both u and v: ``neighbors[u] & neighbors[v]``.
     """
-    apexes = [
-        w
-        for w in range(1, n_vertices + 1)
-        if w != u
-        and w != v
-        and ((w, u) if w < u else (u, w)) in present
-        and ((w, v) if w < v else (v, w)) in present
-    ]
+    apexes = neighbors[u] & neighbors[v]
     if len(apexes) != 2:
         raise InvariantError(f"diagonal {u}-{v} bounds {len(apexes)} triangles, expected 2")
     p0, p1, p2, p3 = sorted((u, v, *apexes))
     replacement = (p1, p3) if (u, v) == (p0, p2) else (p0, p2)
     return (p0, p1, p2, p3), replacement
+
+
+def _neighbor_sets(n_vertices: int, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Vertex -> the vertices joined to it by one of the given arcs, as (u, v) pairs."""
+    neighbors: dict[int, set[int]] = {v: set() for v in range(1, n_vertices + 1)}
+    for u, v in pairs:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return neighbors
+
+
+@cache
+def _boundary(n_vertices: int) -> tuple[Arc, ...]:
+    """The boundary edges {k, k+1} of the polygon, k = 1..n_vertices, in label order."""
+    return tuple(Arc(k, k % n_vertices + 1) for k in range(1, n_vertices + 1))
 
 
 @dataclass(frozen=True)
@@ -227,23 +230,27 @@ class Triangulation:
         nv = n + 3
         if len(self.edges) != 2 * n + 3:
             raise InputError(f"expected {2 * n + 3} labeled arcs, got {len(self.edges)}")
-        for arc in self.edges[:n]:
-            arc.validate(nv)
-            if arc.is_boundary(nv):
-                raise InputError(f"{arc} is a boundary edge, not a diagonal")
-        # Each boundary label must hold one fixed arc, valid by construction.
-        for k in range(1, nv + 1):
-            expected = Arc(k, k % nv + 1)
-            if self.edges[n + k - 1] != expected:
-                raise InputError(
-                    f"label {n + k} must carry boundary edge {expected}, got {self.edges[n + k - 1]}"
-                )
-        if len(set(self.edges)) != len(self.edges):
-            raise InputError("duplicate arcs in triangulation")
         diags = self.edges[:n]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _crosses(diags[i], diags[j], nv):
+        pairs = []
+        for arc in diags:
+            arc.validate(nv)
+            u, v = arc.u, arc.v
+            # 1 <= u < v <= nv now, so v - u is the counterclockwise step count.
+            if v - u == 1 or v - u == nv - 1:
+                raise InputError(f"{arc} is a boundary edge, not a diagonal")
+            pairs.append((u, v))
+        # Each boundary label must hold one fixed arc, valid by construction.
+        boundary = _boundary(nv)
+        if self.edges[n:] != boundary:
+            k = next(k for k, arc in enumerate(boundary) if self.edges[n + k] != arc)
+            raise InputError(
+                f"label {n + k + 1} must carry boundary edge {boundary[k]}, got {self.edges[n + k]}"
+            )
+        if len(set(pairs)) != n:
+            raise InputError("duplicate arcs in triangulation")
+        for i, (a, b) in enumerate(pairs):
+            for j, (c, d) in enumerate(pairs[i + 1 :], start=i + 1):
+                if a < c < b < d or c < a < d < b:
                     raise InputError(f"diagonals {diags[i]} and {diags[j]} cross")
 
     @property
@@ -308,26 +315,26 @@ class Triangulation:
         return self._incidence[vertex]
 
     @cached_property
+    def _neighbors(self) -> dict[int, set[int]]:
+        return _neighbor_sets(self.n_vertices, self._label_by_pair)
+
+    @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """All triangles, as ascending vertex triples in ascending order."""
-        present = self._label_by_pair
-        out = []
-        nv = self.n_vertices
-        for u in range(1, nv - 1):
-            for v in range(u + 1, nv):
-                if (u, v) not in present:
-                    continue
-                for w in range(v + 1, nv + 1):
-                    if (u, w) in present and (v, w) in present:
-                        out.append((u, v, w))
-        return tuple(out)
+        neighbors = self._neighbors
+        return tuple(
+            (u, v, w)
+            for u, joined in neighbors.items()
+            for v in sorted(x for x in joined if x > u)
+            for w in sorted(x for x in joined & neighbors[v] if x > v)
+        )
 
     def quadrilateral(self, k: int) -> FlipQuadrilateral:
         """The quadrilateral whose diagonals are T_k and its flip replacement."""
         if not 1 <= k <= self.n:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
-        corners, replacement = _flip_corners(self._label_by_pair, d.u, d.v, self.n_vertices)
+        corners, replacement = _flip_corners(self._neighbors, d.u, d.v)
         p0, p1, p2, p3 = corners
 
         def side(a: int, b: int) -> int:
@@ -342,18 +349,12 @@ class Triangulation:
     def flip(self, k: int) -> "Triangulation":
         """Replace the diagonal labeled k by the other diagonal of its quadrilateral."""
         quad = self.quadrilateral(k)
-        new_edges = list(self.edges)
-        new_edges[k - 1] = quad.replacement
-        return Triangulation(self.n, tuple(new_edges))
+        return Triangulation(self.n, self.edges[: k - 1] + (quad.replacement,) + self.edges[k:])
 
     def crossing_labels(self, chord: Arc) -> list[int]:
         """Labels of the diagonals crossing the given arc, in label order."""
         chord.validate(self.n_vertices)
-        return [
-            lab
-            for lab in range(1, self.n + 1)
-            if _crosses(self.edges[lab - 1], chord, self.n_vertices)
-        ]
+        return [lab for lab in range(1, self.n + 1) if _crosses(self.edges[lab - 1], chord)]
 
     def crossing_labels_from(self, chord: Arc, origin: int) -> list[int]:
         """Diagonals crossing the chord, ordered by crossing point from origin.
@@ -380,12 +381,9 @@ def build_triangulation(n: int, diagonals: list[tuple[int, int]]) -> Triangulati
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
-    nv = n + 3
     if len(diagonals) != n:
         raise InputError(f"expected {n} diagonals, got {len(diagonals)}")
-    arcs = [Arc(u, v) for u, v in diagonals]
-    boundary = [Arc(k, k % nv + 1) for k in range(1, nv + 1)]
-    return Triangulation(n, tuple(arcs) + tuple(boundary))
+    return Triangulation(n, tuple(Arc(u, v) for u, v in diagonals) + _boundary(n + 3))
 
 
 def snake_triangulation(n: int) -> Triangulation:
@@ -394,8 +392,6 @@ def snake_triangulation(n: int) -> Triangulation:
     The diagonals are the consecutive pairs of the walk 2, 4, 1, 5, n+3, 6, ...
     whose even entries step down from 2 and odd entries step up from 4.
     """
-    if n < 1:
-        raise InputError(f"rank must be at least 1, got {n}")
     nv = n + 3
     walk = [2, 4]
     lo, hi = 2, 4
@@ -466,21 +462,16 @@ def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingS
 def all_polygon_diagonals(n: int) -> list[Arc]:
     """Every diagonal of the (n+3)-gon, sorted."""
     nv = n + 3
-    return sorted(
-        Arc(u, v)
-        for u in range(1, nv + 1)
-        for v in range(u + 1, nv + 1)
-        if Arc(u, v).is_diagonal(nv)
-    )
+    return [Arc(u, v) for u in range(1, nv) for v in range(u + 2, nv + 1) if (u, v) != (1, nv)]
 
 
 def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     """All triangulations of the (n+3)-gon and the flips connecting them.
 
-    Produced by breadth-first flips from the fan at vertex 1 over sorted
-    diagonal vertex-pair sets; nodes come back sorted by that set with labels
-    canonicalized to sorted order, each validated once on construction, and
-    edges as index pairs into the node list.
+    Produced by breadth-first flips from the fan at vertex 1, each diagonal
+    set keyed by a bitmask; nodes come back sorted by their sorted diagonal
+    vertex-pair sets, with labels in that order, each validated once on
+    construction, and edges as index pairs into the node list.
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
@@ -489,25 +480,31 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
             f"exhaustive enumeration is guarded at rank {MAX_ENUMERATION_RANK}, got {n}"
         )
     nv = n + 3
-    boundary = {(k, k + 1) for k in range(1, nv)} | {(1, nv)}
+    boundary = _boundary(nv)
+    ring = tuple((arc.u, arc.v) for arc in boundary)
+    arcs = {(d.u, d.v): d for d in all_polygon_diagonals(n)}
+    bit = {pair: 1 << i for i, pair in enumerate(arcs)}
     start = tuple((1, v) for v in range(3, nv))
-    seen = {start}
-    edge_keys = set()
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
-        present = boundary.union(key)
-        for i, (u, v) in enumerate(key):
-            _, replacement = _flip_corners(present, u, v, nv)
-            neighbor = tuple(sorted(key[:i] + (replacement,) + key[i + 1 :]))
-            if neighbor not in seen:
-                seen.add(neighbor)
-                queue.append(neighbor)
-            edge_keys.add((key, neighbor) if key < neighbor else (neighbor, key))
-    order = sorted(seen)
-    index = {key: i for i, key in enumerate(order)}
-    nodes = [build_triangulation(n, list(key)) for key in order]
-    edges = sorted((index[a], index[b]) for a, b in edge_keys)
+    # (diagonal set as a bitmask over ``bit``, its vertex pairs) in order of
+    # discovery; the list grows while it is read, so it is also the queue.
+    found = [(sum(bit[pair] for pair in start), start)]
+    ids = {found[0][0]: 0}
+    flips = []
+    for i, (mask, key) in enumerate(found):
+        neighbors = _neighbor_sets(nv, ring + key)
+        for j, (u, v) in enumerate(key):
+            _, replacement = _flip_corners(neighbors, u, v)
+            other = mask ^ bit[u, v] ^ bit[replacement]
+            k = ids.setdefault(other, len(found))
+            if k == len(found):
+                found.append((other, key[:j] + (replacement,) + key[j + 1 :]))
+            if k > i:  # each flip is met from both ends; keep it once
+                flips.append((i, k))
+    keys = [tuple(sorted(key)) for _, key in found]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    nodes = [Triangulation(n, tuple(arcs[pair] for pair in keys[i]) + boundary) for i in order]
+    edges = sorted((min(rank[i], rank[k]), max(rank[i], rank[k])) for i, k in flips)
     return nodes, edges
 
 

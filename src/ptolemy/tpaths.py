@@ -290,6 +290,7 @@ def brute_force_t_path_table(
             vertices.pop()
 
     extend(source, 0, True)
+    del extend  # a self-calling closure, as in enumerate_t_paths
     return out
 
 

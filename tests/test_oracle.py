@@ -1,5 +1,6 @@
 """Seed matrix, coefficient pairs, exchange relation, recursive expansion."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -144,6 +145,17 @@ class TestRecursion:
             for t in all_triangulations(n):
                 for chord in all_polygon_diagonals(n):
                     assert cluster_variable_recursive(t, chord) == expand(t, chord)
+
+    def test_leaves_no_reference_cycle(self):
+        t = snake_triangulation(8)
+        gc.collect()
+        gc.disable()
+        try:
+            poly = cluster_variable_recursive(t, Arc(3, 9))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(poly) > 1
 
     def test_agreement_at_random_points(self, octagon):
         rng = random.Random(41)

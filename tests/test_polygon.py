@@ -1,5 +1,6 @@
 """Polygon combinatorics: crossing predicate, triangulations, flips, orderings."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from ptolemy import (
     Arc,
     InputError,
     ResourceLimitError,
+    Triangulation,
     all_polygon_diagonals,
     all_triangulations,
     build_triangulation,
@@ -54,6 +56,24 @@ class TestCrosses:
             with pytest.raises(InputError):
                 crosses(d1, d2, 8)
 
+    @pytest.mark.parametrize("nv", [4, 5, 6, 7, 8, 9])
+    def test_matches_segment_intersection(self, nv):
+        # Vertex k at (k, k^2): convex position in counterclockwise order, so
+        # two chords cross exactly when their segments properly intersect.
+        def orient(p, q, r):
+            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+        point = {k: (k, k * k) for k in range(1, nv + 1)}
+        arcs = [Arc(u, v) for u in range(1, nv + 1) for v in range(u + 1, nv + 1)]
+        for d1 in arcs:
+            a, b = point[d1.u], point[d1.v]
+            for d2 in arcs:
+                c, d = point[d2.u], point[d2.v]
+                proper = (
+                    orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0
+                )
+                assert crosses(d1, d2, nv) == proper
+
     def test_symmetry_self_and_boundary_exhaustive(self):
         nv = 8
         arcs = [Arc(u, v) for u in range(1, nv + 1) for v in range(u + 1, nv + 1)]
@@ -83,16 +103,53 @@ class TestBuildTriangulation:
             build_triangulation(2, [(1, 3), (2, 4)])
 
     def test_wrong_count(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^expected 2 diagonals, got 1$"):
             build_triangulation(2, [(1, 3)])
+        with pytest.raises(InputError, match="^expected 5 labeled arcs, got 3$"):
+            Triangulation(1, build_triangulation(1, [(1, 3)]).edges[:3])
 
     def test_duplicate(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^duplicate arcs in triangulation$"):
             build_triangulation(2, [(1, 3), (1, 3)])
 
     def test_boundary_as_diagonal(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^1-2 is a boundary edge, not a diagonal$"):
             build_triangulation(2, [(1, 2), (1, 3)])
+
+    def test_wrong_boundary_label(self, square):
+        edges = list(square.edges)
+        edges[2], edges[3] = Arc(3, 4), Arc(2, 3)
+        with pytest.raises(InputError, match="^label 3 must carry boundary edge 2-3, got 3-4$"):
+            Triangulation(1, tuple(edges))
+
+    def test_crossing_diagonals(self):
+        with pytest.raises(InputError, match="^diagonals 1-3 and 2-4 cross$"):
+            build_triangulation(2, [(1, 3), (2, 4)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_swapped_diagonal_rejected_exactly_when_it_crosses(self, n):
+        # Replace each diagonal of each triangulation by each absent diagonal;
+        # the reference predicate decides acceptance and the named pair.
+        nv = n + 3
+        for t in all_triangulations(n):
+            for k in range(n):
+                for d in all_polygon_diagonals(n):
+                    if t.contains(d):
+                        continue
+                    edges = t.edges[:k] + (d,) + t.edges[k + 1 :]
+                    diags = edges[:n]
+                    crossing = [
+                        (a, b)
+                        for i, a in enumerate(diags)
+                        for b in diags[i + 1 :]
+                        if crosses(a, b, nv)
+                    ]
+                    if not crossing:
+                        assert Triangulation(n, edges).diagonal_arcs() == diags
+                        continue
+                    a, b = crossing[0]
+                    with pytest.raises(InputError, match=f"^diagonals {a} and {b} cross$"):
+                        Triangulation(n, edges)
 
     def test_each_diagonal_validated_once(self, monkeypatch):
         checked = []
@@ -291,6 +348,18 @@ class TestAllTriangulations:
             all_triangulations(9)
 
 
+# SHA-256 of repr((node diagonal keys as vertex pairs, edges)) of flip_graph(n).
+FLIP_GRAPH_DIGESTS = {
+    1: "a3706391e01f0954b3b897af798df26bd1d776e1a09af18c906ac6da3cdf59f3",
+    2: "de2e532586efb1be1d629bf4239147d0003c5b672233eb4f36d59492f2664e54",
+    3: "d7a8ac4b66b7ba7776721b77d006117e86f2b64a3b36b0d7cd681d5761e1e4aa",
+    4: "3409d263534b03b2eee6b42290d57b91903c8e10e3ec959426463f708871c8b3",
+    5: "173316b7f2d85d5329841490f1c405f6ed73076f3c39a1759facd9245d076e75",
+    6: "91f5cbbceb4f4a7289a39039ec7b7253f64147034dd720f6be9f955754973145",
+    7: "3b1d7bcf01b8aeb29319cab3dcb28d90c6fe017f37f9051d1129b5b82816166c",
+}
+
+
 class TestFlipGraph:
     def test_single_flip_square(self):
         nodes, edges = flip_graph(1)
@@ -321,6 +390,12 @@ class TestFlipGraph:
             if len(sets[i] - sets[j]) == 1
         ]
         assert edges == one_apart
+
+    @pytest.mark.parametrize("n", sorted(FLIP_GRAPH_DIGESTS))
+    def test_nodes_and_edges_digest(self, n):
+        nodes, edges = flip_graph(n)
+        keys = [[arc.endpoints() for arc in t.diagonal_key()] for t in nodes]
+        assert hashlib.sha256(repr((keys, edges)).encode()).hexdigest() == FLIP_GRAPH_DIGESTS[n]
 
     def test_rank_seven_is_regular(self):
         nodes, edges = flip_graph(7)

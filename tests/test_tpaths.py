@@ -1,5 +1,7 @@
 """Path validation, pruned enumeration vs brute force, weight monomials."""
 
+import gc
+
 import pytest
 
 import ptolemy.tpaths
@@ -262,6 +264,17 @@ class TestBruteForce:
                     assert brute_force_t_path_table(t, source, targets) == {
                         target: enumerate_t_paths(t, source, target) for target in targets
                     }
+
+    def test_leaves_no_reference_cycle(self):
+        t = snake_triangulation(4)
+        gc.collect()
+        gc.disable()
+        try:
+            table = brute_force_t_path_table(t, 1, (3, 4, 5, 6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert any(table.values())
 
 
 class TestWeights:
