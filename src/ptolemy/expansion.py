@@ -97,8 +97,7 @@ def denominator_vector(
         poly = expand(t, chord)
     elif poly.nvars != t.n_labels:
         raise InputError(f"expansion has {poly.nvars} variables, expected {t.n_labels}")
-    exps = [e for e, _ in poly.terms()]
-    vec = tuple(max(0, -min(column)) for column in zip(*exps))
+    vec = tuple(max(0, -low) for low in poly._min_exponents())
     crossing = set(t.crossing_labels(chord))
     expected = tuple(1 if i in crossing else 0 for i in range(1, t.n_labels + 1))
     if vec != expected:

@@ -30,10 +30,15 @@ once and raise ``InputError`` when that sets any bit outside the value fields.
 Distinct exponent vectors in the window keep distinct keys, so a spilled key
 never merges with the key of another vector.  Keys are decoded only at the
 public boundaries: ``terms`` (and so ``to_term_list`` and
-``substitute_ones``) and ``evaluate`` unpack whole keys, and ``min_exponent``
-reads one field with a shift and a mask.  ``render`` slices each key's bytes
-into blocks of eight fields and formats each (offset, block) pair once, in a
-memo that dies with the call; the terms of one expansion share most blocks.
+``substitute_ones``) and ``evaluate`` unpack whole keys, ``min_exponent``
+reads one field with a shift and a mask, and ``_min_exponents`` (for the
+denominator vector) takes each field's minimum over the keys' bytes, unsorted.
+``render`` reads each key's bytes too.
+Cluster variables only have exponents -1, 0 and 1, and a term whose fields
+all hold one of those three is a selection from the names x1..xm followed by
+x1^-1..xm^-1: two byte translations mark its fields of exponent 1 and -1, and
+``itertools.compress`` picks the names.  Any other term is formatted by
+``render_term``, the one formatter of a general exponent vector.
 
 A product with a one-term operand ``k * x^m`` adds ``key(m) - zero`` to each
 key of the other operand, with no merging: a shift by a fixed vector is
@@ -48,6 +53,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import or_
 from struct import Struct
 from types import MappingProxyType
@@ -61,9 +67,13 @@ MIN_EXPONENT = -BIAS
 MAX_EXPONENT = BIAS - 1
 _FIELD_BITS = 8
 _FIELD_MASK = 0xFF
-_RENDER_BLOCK = 8  # fields per memoized block of ``LaurentPolynomial.render``
 # Field byte -> its exponent as a signed byte.
 _SIGNED_EXPONENT = bytes((b - BIAS) & _FIELD_MASK for b in range(1 << _FIELD_BITS))
+# Field bytes of the exponents -1, 0 and 1, and field byte -> 1 if its exponent
+# is 1 (``_UP``) or -1 (``_DOWN``), else 0.
+_UNIT_FIELDS = bytes(range(BIAS - 1, BIAS + 2))
+_UP = bytes(b == BIAS + 1 for b in range(1 << _FIELD_BITS))
+_DOWN = bytes(b == BIAS - 1 for b in range(1 << _FIELD_BITS))
 
 
 @lru_cache(maxsize=None)
@@ -100,34 +110,29 @@ def _unpack(key: int, nvars: int) -> Exponents:
     return _signed_bytes(nvars).unpack(key.to_bytes(nvars, "big").translate(_SIGNED_EXPONENT))
 
 
-def _factors(exponents: Iterable[int], start: int = 1) -> tuple[list[str], list[str]]:
-    """Positive and negative factor strings like x7 or x3^-1, from x_start up."""
+def render_factors(exponents: Exponents) -> list[str]:
+    """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
     pos = []
     neg = []
-    for i, e in enumerate(exponents, start=start):
+    for i, e in enumerate(exponents, start=1):
         if e > 0:
             pos.append(f"x{i}" if e == 1 else f"x{i}^{e}")
         elif e < 0:
             neg.append(f"x{i}^{e}")
-    return pos, neg
-
-
-def render_factors(exponents: Exponents) -> list[str]:
-    """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
-    pos, neg = _factors(exponents)
     return pos + neg
 
 
-def _term_text(coefficient: int, factors: list[str]) -> str:
-    if not factors:
+def _term_text(coefficient: int, product: str) -> str:
+    """A term from its coefficient and its factors already joined by ``*``."""
+    if not product:
         return str(coefficient)
     if coefficient == 1:
-        return "*".join(factors)
-    return "*".join([str(coefficient)] + factors)
+        return product
+    return f"{coefficient}*{product}"
 
 
 def render_term(coefficient: int, exponents: Exponents) -> str:
-    return _term_text(coefficient, render_factors(exponents))
+    return _term_text(coefficient, "*".join(render_factors(exponents)))
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,12 @@ class LaurentPolynomial:
         for key in sorted(self._terms):
             yield _unpack(key, self.nvars), self._terms[key]
 
+    def _min_exponents(self) -> tuple[int, ...]:
+        """Each variable's smallest exponent over all terms, read from the key
+        bytes in one pass with no sort (empty for the zero polynomial)."""
+        raws = [key.to_bytes(self.nvars, "big") for key in self._terms]
+        return tuple(low - BIAS for low in map(min, zip(*raws)))
+
     def coefficients(self) -> list[int]:
         return [self._terms[key] for key in sorted(self._terms)]
 
@@ -334,19 +345,18 @@ class LaurentPolynomial:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        memo: dict[tuple[int, bytes], tuple[list[str], list[str]]] = {}
+        nvars = self.nvars
+        names = [f"x{i}" for i in range(1, nvars + 1)]
+        names += [f"{name}^-1" for name in names]
+        terms = self._terms
         out = []
-        for key, coeff in sorted(self._terms.items()):
-            raw = key.to_bytes(self.nvars, "big")
-            pos, neg = [], []
-            for offset in range(0, self.nvars, _RENDER_BLOCK):
-                block = raw[offset : offset + _RENDER_BLOCK]
-                factors = memo.get((offset, block))
-                if factors is None:
-                    factors = memo[offset, block] = _factors([b - BIAS for b in block], offset + 1)
-                pos += factors[0]
-                neg += factors[1]
-            out.append(_term_text(coeff, pos + neg))
+        for key in sorted(terms):
+            raw = key.to_bytes(nvars, "big")
+            if raw.translate(None, _UNIT_FIELDS):
+                out.append(render_term(terms[key], _unpack(key, nvars)))
+            else:
+                mask = raw.translate(_UP) + raw.translate(_DOWN)
+                out.append(_term_text(terms[key], "*".join(compress(names, mask))))
         return " + ".join(out)
 
     def to_term_list(self) -> list[dict]:
@@ -397,8 +407,11 @@ class TropicalMonomial:
 
     @classmethod
     def from_labels(cls, rank: int, labels: Iterable[int]) -> "TropicalMonomial":
-        exps = [0] * (2 * rank + 3)
+        nvars = 2 * rank + 3
+        exps = [0] * nvars
         for label in labels:
+            if not 1 <= label <= nvars:
+                raise InputError(f"label {label} out of range 1..{nvars}")
             exps[label - 1] += 1
         return cls(rank, tuple(exps))
 

@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, evaluation, rendering, tropical monomials."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptolemy import InputError, LaurentPolynomial, Monomial, TropicalMonomial
+from ptolemy import (
+    Arc,
+    InputError,
+    LaurentPolynomial,
+    Monomial,
+    TropicalMonomial,
+    expand,
+    snake_triangulation,
+)
 from ptolemy.laurent import packed_layout, render_term
 from conftest import exponents, run_optimized
 
@@ -316,26 +325,42 @@ def test_serialization_matches_a_tuple_keyed_reference(case):
     assert list(p.terms()) == ordered
     assert p.render() == (" + ".join(render_term(c, e) for e, c in ordered) or "0")
     assert p.to_term_list() == [{"coefficient": c, "exponents": list(e)} for e, c in ordered]
+    assert p._min_exponents() == tuple(map(min, zip(*(e for e, _ in ordered))))
 
 
 @pytest.mark.parametrize("nvars", [1, 7, 8, 9, 16, 17, 51])
-def test_render_memo_keys_each_block_by_offset_and_content(nvars):
-    """Terms assembled from a few 8-field blocks, so that one block recurs at
-    one offset and at several offsets; render memoizes factor strings per
-    (offset, block) and must agree with rendering each term on its own."""
+def test_render_agrees_with_render_term_on_both_routes(nvars):
+    """Terms with every exponent in -1..1 are picked from a names list, any
+    other term goes through ``render_term``; each ``wide`` exponent puts one
+    term of the second kind among the first."""
     rng = random.Random(nvars)
-    edge = [-64, -1, 0, 1, 2, 63]
-    pool = [tuple(rng.choice(edge + [rng.randint(-64, 63)]) for _ in range(8)) for _ in range(3)]
-    terms = []
-    for _ in range(40):
-        exps = sum((rng.choice(pool) for _ in range(0, nvars, 8)), ())[:nvars]
-        terms.append((exps, rng.choice([-3, -2, -1, 1, 2, 3])))
-    constant = [((0,) * nvars, -2)]
-    for p in (LaurentPolynomial(nvars, terms), LaurentPolynomial(nvars, terms + constant)):
+    coefficients = [1, -1, 3, -3, 10**30, -(10**30)]
+    for wide in (None, 2, -2, -64, 63):
+        terms = [
+            (tuple(rng.choice([-1, 0, 1]) for _ in range(nvars)), rng.choice(coefficients))
+            for _ in range(40)
+        ]
+        terms.append(((0,) * nvars, rng.choice(coefficients)))
+        if wide is not None:
+            exps = list(terms[0][0])
+            exps[rng.randrange(nvars)] = wide
+            terms.append((tuple(exps), rng.choice(coefficients)))
+        p = LaurentPolynomial(nvars, terms)
         assert len(p) > 1
         assert p.render() == " + ".join(render_term(c, e) for e, c in p.terms())
-    assert LaurentPolynomial(nvars, constant).render() == "-2"
+    for coefficient in coefficients:
+        constant = LaurentPolynomial(nvars, [((0,) * nvars, coefficient)])
+        assert constant.render() == str(coefficient)
     assert LaurentPolynomial.zero(nvars).render() == "0"
+
+
+def test_render_of_a_deep_expansion_is_pinned():
+    """SHA-256 of the 6765-term snake n=18 chord 3-13 expansion as rendered
+    before ``render`` read key bytes; the bytes must not move."""
+    text = expand(snake_triangulation(18), Arc(3, 13)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d67dccb85bf5edf5fd7fb50645a29c9c9ed30a53c7c500a17660718362fa0b9e"
+    )
 
 
 class TestMonomial:
@@ -349,6 +374,11 @@ class TestTropical:
         n = 3
         assert TropicalMonomial.from_labels(n, [4, 6]).render() == "x4*x6"
         assert TropicalMonomial.one(n).render() == "1"
+
+    @pytest.mark.parametrize("label", [0, -1, 10])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(InputError, match=f"^label {label} out of range 1..9$"):
+            TropicalMonomial.from_labels(3, [4, label])
 
     def test_support_restricted_to_boundary(self):
         with pytest.raises(InputError):
