@@ -76,8 +76,8 @@ def expand_trivial_coefficients(
 
 
 def check_positivity(poly: LaurentPolynomial) -> bool:
-    """True when every stored coefficient equals 1."""
-    return all(coeff == 1 for coeff in poly.coefficients())
+    """True when every stored coefficient equals 1 (read unsorted)."""
+    return all(coeff == 1 for coeff in poly._terms.values())
 
 
 def denominator_vector(

@@ -29,8 +29,8 @@ whole key negative.  Products and ``divide_by_variable`` OR their keys together
 once and raise ``InputError`` when that sets any bit outside the value fields.
 Distinct exponent vectors in the window keep distinct keys, so a spilled key
 never merges with the key of another vector.  Keys are decoded only at the
-public boundaries: ``terms`` (and so ``to_term_list`` and
-``substitute_ones``) and ``evaluate`` unpack whole keys, ``min_exponent``
+public boundaries: ``terms`` (and so ``to_term_list``) and ``evaluate``
+unpack whole keys, ``substitute_ones`` masks fields, ``min_exponent``
 reads one field with a shift and a mask, and ``_min_exponents`` (for the
 denominator vector) takes each field's minimum over the keys' bytes, unsorted.
 ``render`` reads each key's bytes too.
@@ -310,19 +310,27 @@ class LaurentPolynomial:
         return self._shifted(-units[index], 1)
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPolynomial":
-        """Set the given variables to 1: zero their exponents and merge terms."""
+        """Set the given variables to 1: one mask sets their fields of every
+        key to exponent 0, and terms whose keys then meet merge."""
+        nvars = self.nvars
         idx = set()
         for index in indices:
-            if not 1 <= index <= self.nvars:
-                raise InputError(f"variable index {index} out of range 1..{self.nvars}")
+            if not 1 <= index <= nvars:
+                raise InputError(f"variable index {index} out of range 1..{nvars}")
             idx.add(index - 1)
-        return LaurentPolynomial(
-            self.nvars,
-            (
-                (tuple(0 if i in idx else e for i, e in enumerate(exps)), coeff)
-                for exps, coeff in self.terms()
-            ),
-        )
+        zero, units = packed_layout(nvars)
+        mask = _FIELD_MASK * sum(units[i + 1] for i in range(nvars) if i in idx)
+        keep, fill = ~mask, zero & mask
+        result = LaurentPolynomial(nvars)
+        out = result._terms
+        for key, coeff in self._terms.items():
+            key = key & keep | fill
+            acc = out.get(key, 0) + coeff
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        return result
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a point with all coordinates nonzero."""

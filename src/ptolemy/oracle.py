@@ -92,18 +92,20 @@ def cluster_variable_recursive(
 
     where both far arcs cross strictly fewer diagonals, so the recursion
     terminates.  Each far arc's polynomial is multiplied by the one-term
-    x[side]/x[pivot], which shifts each of its terms once; the division is
-    by a single variable, hence exact.  Results are memoized per arc,
-    confined to this call.  ``origin`` orients only the top step (recursive
-    steps orient canonically); the result does not depend on it, which the
-    test suite asserts.
+    x[side]/x[pivot] as one shift of its keys (``_shifted``, the path a
+    product with a one-term operand takes), so each term is shifted once and
+    no ratio or product is built; the division is by a single variable,
+    hence exact.  Results are memoized per arc, confined to this call.
+    ``origin`` orients only the top step (recursive steps orient
+    canonically); the result does not depend on it, which the test suite
+    asserts.
     """
     nv = t.n_vertices
     arc.validate(nv)
     if origin is not None and not arc.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {arc}")
     nvars = t.n_labels
-    zero, units = packed_layout(nvars)
+    _, units = packed_layout(nvars)
     memo: dict[Arc, LaurentPolynomial] = {}
 
     def resolve(current: Arc, anchor: int) -> LaurentPolynomial:
@@ -117,12 +119,10 @@ def cluster_variable_recursive(
             step = first_crossing_step(t, current, anchor)
             if step is None:
                 raise InvariantError(f"{current} is not in the triangulation yet crosses nothing")
-            over_pivot = zero - units[step.pivot]
-            cw_ratio = LaurentPolynomial.from_keys(nvars, [over_pivot + units[step.cw_side]])
-            ccw_ratio = LaurentPolynomial.from_keys(nvars, [over_pivot + units[step.ccw_side]])
-            poly = cw_ratio * resolve(step.ccw_far, step.ccw_far.u) + ccw_ratio * resolve(
-                step.cw_far, step.cw_far.u
-            )
+            pivot = units[step.pivot]
+            ccw = resolve(step.ccw_far, step.ccw_far.u)._shifted(units[step.cw_side] - pivot, 1)
+            cw = resolve(step.cw_far, step.cw_far.u)._shifted(units[step.ccw_side] - pivot, 1)
+            poly = ccw + cw
         memo[current] = poly
         return poly
 

@@ -282,6 +282,11 @@ class Triangulation:
         """``first_crossing_step`` results by (u, v, origin); see there."""
         return {}
 
+    @cached_property
+    def _crossing_keys(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
+        """``tpaths.crossing_keys`` tables by (source, target); see there."""
+        return {}
+
     def label_of(self, arc: Arc) -> int | None:
         return self._label_by_pair.get((arc.u, arc.v))
 

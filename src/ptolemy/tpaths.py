@@ -22,24 +22,28 @@ next, and one of the two sits at an even position.
 from each search state, pruned to the moves from which b stays reachable, and
 hands out each path's packed weight as it finds it;
 ``brute_force_t_path_table`` generates every edge-distinct walk from one
-source and filters with the validator, serving as its independent oracle at
+source and filters with the six rules, serving as its independent oracle at
 small rank.  The trails from a source do not depend on the target, so one
-walk serves all of the source's targets, each arrival checked with its own
-target's crossing table; ``brute_force_t_paths`` is that walk for a single
-target.  Both routes list paths in lexicographic order of their label
-sequences.  Each chord gets one table of crossing positions
-(``crossing_keys``), and the search, its validator calls and the oracle's
-all read it; both walks step along one table per triangulation
-(``Triangulation._steps``).  Every path the pruned search emits is checked
-against all six rules at a cost linear in its length, and a failure raises
-``InvariantError``, under ``python -O`` as well.  Vertex and label ranges are
-checked only when the lengths mismatch or rule 1 or 2 fails (or the path is
-empty), since rule 2 holding implies them (see ``is_valid_t_path``).
+walk serves all of the source's targets.  Each odd-length arrival at a
+target goes to the validator's rule core (``_broken_rule``) with that
+target's crossing table; the core names the first broken rule and formats
+nothing, so a rejected arrival costs no ``TPath`` and no ``PathCheck``, and
+only an accepted one is built into a path.  ``brute_force_t_paths`` is that
+walk for a single target.  Both routes list paths in lexicographic order of
+their label sequences.  Each oriented chord gets one table of crossing
+positions (``crossing_keys``), kept on the triangulation, and the search,
+its validator calls and the oracle all read it; both walks step along one
+table per triangulation (``Triangulation._steps``).  Every path the pruned
+search emits is checked against all six rules by ``is_valid_t_path``, at a
+cost linear in its length, and a failure raises ``InvariantError``, under
+``python -O`` as well.  Vertex and label ranges are checked only when the
+lengths mismatch or rule 1 or 2 fails (or the path is empty), since rule 2
+holding implies them (see ``is_valid_t_path``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -90,15 +94,33 @@ def _require_endpoints(t: Triangulation, source: int, target: int) -> Arc:
 def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, tuple[int, int]]:
     """Crossing position, seen from source, of each diagonal crossing source-target.
 
-    Keyed by label; edges absent from the table do not cross the chord.
+    Keyed by label; edges absent from the table do not cross the chord.  The
+    endpoints are validated on every call; each oriented chord's table is then
+    built once and kept on ``t`` for as long as it lives, shared by every
+    caller, so it must not be changed.
     """
     chord = _require_endpoints(t, source, target)
-    nv = t.n_vertices
-    return {
-        lab: crossing_position(arc, source, target, nv)
-        for lab, arc in enumerate(t.diagonal_arcs(), start=1)
-        if crosses(arc, chord, nv)
-    }
+    memo = t._crossing_keys
+    keys = memo.get((source, target))
+    if keys is None:
+        nv = t.n_vertices
+        keys = memo[source, target] = {
+            lab: crossing_position(arc, source, target, nv)
+            for lab, arc in enumerate(t.diagonal_arcs(), start=1)
+            if crosses(arc, chord, nv)
+        }
+    return keys
+
+
+# The detail of each rule's failure, filled in with what ``_broken_rule`` names.
+_RULE_DETAILS = {
+    1: "path must run from the source vertex to the target",
+    2: "edge {} does not join {} and {}",
+    3: "repeated edge label",
+    4: "even length {}",
+    5: "even-position edge {} does not cross the chord",
+    6: "edge {} crosses out of order",
+}
 
 
 def is_valid_t_path(
@@ -119,7 +141,8 @@ def is_valid_t_path(
 
     The ranges are checked only when the lengths mismatch, rule 1 or 2 fails
     or there are no labels: rule 2 holding on a step puts its label in 1..2n+3
-    and its vertices on an edge.
+    and its vertices on an edge.  The rules themselves are checked by
+    ``_broken_rule``, and the report is formatted here.
     """
     if keys is None:
         keys = crossing_keys(t, source, target)
@@ -129,33 +152,52 @@ def is_valid_t_path(
         raise InputError(
             f"{len(labels)} labels need {len(labels) + 1} vertices, got {len(vertices)}"
         )
-    if vertices[0] != source or vertices[-1] != target:
+    broken = _broken_rule(t, source, target, vertices, labels, keys)
+    if broken is None:
+        return _VALID
+    rule, named = broken
+    if rule <= 2 or not labels:
         _require_ranges(t, candidate)
-        return PathCheck(False, 1, "path must run from the source vertex to the target")
+    return PathCheck(False, rule, _RULE_DETAILS[rule].format(*named))
+
+
+def _broken_rule(
+    t: Triangulation,
+    source: int,
+    target: int,
+    vertices: Sequence[int],
+    labels: Sequence[int],
+    keys: dict[int, tuple[int, int]],
+) -> tuple[int, tuple] | None:
+    """The first of the six rules the path breaks, with what its detail names
+    (see ``_RULE_DETAILS``), or None when it keeps them all.
+
+    There must be one more vertex than labels; nothing is range-checked and
+    nothing is formatted.
+    """
+    if vertices[0] != source or vertices[-1] != target:
+        return 1, ()
     ends = t._ends
     for lab, a, b in zip(labels, vertices, vertices[1:]):
         e = ends.get(lab)
         if e is None or (e[0] != a or e[1] != b) and (e[0] != b or e[1] != a):
-            _require_ranges(t, candidate)
-            return PathCheck(False, 2, f"edge {lab} does not join {a} and {b}")
+            return 2, (lab, a, b)
     if len(set(labels)) != len(labels):
-        return PathCheck(False, 3, "repeated edge label")
+        return 3, ()
     if len(labels) % 2 == 0:
-        if not labels:
-            _require_ranges(t, candidate)
-        return PathCheck(False, 4, f"even length {len(labels)}")
+        return 4, (len(labels),)
     for lab in labels[1::2]:
         if lab not in keys:
-            return PathCheck(False, 5, f"even-position edge {lab} does not cross the chord")
+            return 5, (lab,)
     last = None
     for lab in labels:
         key = keys.get(lab)
         if key is None:
             continue
         if last is not None and key <= last:
-            return PathCheck(False, 6, f"edge {lab} crosses out of order")
+            return 6, (lab,)
         last = key
-    return _VALID
+    return None
 
 
 def _require_ranges(t: Triangulation, candidate: TPath) -> None:
@@ -257,13 +299,15 @@ def brute_force_t_path_table(
     t: Triangulation, source: int, targets: Iterable[int]
 ) -> dict[int, list[TPath]]:
     """Oracle enumeration from one source: every edge-distinct walk, filtered
-    by the validator, for each target at once.
+    by the six rules, for each target at once.
 
     One walk from ``source`` serves every target: each odd-length arrival at
     a target is checked against the six rules with that target's own
-    crossing table.  No rule is used for pruning beyond edge distinctness,
-    so agreement with ``enumerate_t_paths`` exercises the pruned search end
-    to end.  Guarded to small ranks; the walk count grows quickly.
+    crossing table, by the same rule check ``is_valid_t_path`` runs, and
+    becomes a ``TPath`` only when it passes.  No rule is used for pruning
+    beyond edge distinctness, so agreement with ``enumerate_t_paths``
+    exercises the pruned search end to end.  Guarded to small ranks; the
+    walk count grows quickly.
     """
     if t.n > MAX_BRUTE_FORCE_RANK:
         raise ResourceLimitError(
@@ -282,9 +326,8 @@ def brute_force_t_path_table(
             labels.append(lab)
             vertices.append(nxt)
             if odd and nxt in keys:
-                path = TPath(tuple(vertices), tuple(labels))
-                if is_valid_t_path(t, source, nxt, path, keys=keys[nxt]).ok:
-                    out[nxt].append(path)
+                if _broken_rule(t, source, nxt, vertices, labels, keys[nxt]) is None:
+                    out[nxt].append(TPath(tuple(vertices), tuple(labels)))
             extend(nxt, used | bit, not odd)
             labels.pop()
             vertices.pop()

@@ -328,6 +328,54 @@ def test_serialization_matches_a_tuple_keyed_reference(case):
     assert p._min_exponents() == tuple(map(min, zip(*(e for e, _ in ordered))))
 
 
+def substituted_by_tuples(p, indices):
+    """Reference for ``substitute_ones``: rebuild every exponent tuple with the
+    given variables' entries zeroed, through the validating constructor."""
+    zeroed = {i - 1 for i in indices}
+    return LaurentPolynomial(
+        p.nvars,
+        ((tuple(0 if i in zeroed else e for i, e in enumerate(exps)), c) for exps, c in p.terms()),
+    )
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 7, 8, 9, 16, 17, 51])
+def test_substitute_ones_matches_the_tuple_route(nvars):
+    """Terms drawn from a few base vectors, each varied only in the
+    substituted fields, so that substitution merges them, and with
+    coefficients of both signs, so that some merges cancel."""
+    rng = random.Random(1000 + nvars)
+    for _ in range(40):
+        indices = rng.sample(range(1, nvars + 1), rng.randint(0, nvars))
+        bases = [[rng.randint(-64, 63) for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            exps = list(rng.choice(bases))
+            for i in indices:
+                exps[i - 1] = rng.randint(-64, 63)
+            terms.append((tuple(exps), rng.choice([1, -1, 2, -2, 10**30])))
+        p = LaurentPolynomial(nvars, terms)
+        got = p.substitute_ones(iter(indices))
+        expected = substituted_by_tuples(p, indices)
+        assert got == expected
+        assert list(got.terms()) == list(expected.terms())
+        assert got.render() == expected.render()
+    assert LaurentPolynomial.zero(nvars).substitute_ones([1]) == LaurentPolynomial.zero(nvars)
+
+
+def test_substitute_ones_cancels_merged_terms():
+    p = LaurentPolynomial(3, {(1, 2, 0): 1, (1, -5, 0): -1, (0, 0, 1): 4})
+    assert p.substitute_ones([2]) == LaurentPolynomial(3, {(0, 0, 1): 4})
+    q = LaurentPolynomial(2, {(1, 1): 1, (1, -1): -1})
+    assert q.substitute_ones([2]) == LaurentPolynomial.zero(2)
+
+
+@pytest.mark.parametrize("index", [0, -1, 4])
+def test_substitute_ones_range_error(index):
+    p = LaurentPolynomial(3, {(1, 2, 0): 1})
+    with pytest.raises(InputError, match=f"^variable index {index} out of range 1..3$"):
+        p.substitute_ones([1, index])
+
+
 @pytest.mark.parametrize("nvars", [1, 7, 8, 9, 16, 17, 51])
 def test_render_agrees_with_render_term_on_both_routes(nvars):
     """Terms with every exponent in -1..1 are picked from a names list, any

@@ -1,6 +1,9 @@
 """Path validation, pruned enumeration vs brute force, weight monomials."""
 
 import gc
+import hashlib
+import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +16,7 @@ from ptolemy import (
     PathCheck,
     ResourceLimitError,
     TPath,
+    Triangulation,
     all_polygon_diagonals,
     all_triangulations,
     brute_force_t_path_table,
@@ -104,6 +108,120 @@ class TestValidator:
             is_valid_t_path(octagon, 3, 7, TPath((3, 2, 7), (7,)))
         with pytest.raises(InputError):
             is_valid_t_path(octagon, 3, 4, TPath((3, 4), (8,)))
+
+
+class TestCrossingTable:
+    def test_one_table_per_oriented_chord(self, octagon):
+        keys = crossing_keys(octagon, 3, 7)
+        assert crossing_keys(octagon, 3, 7) is keys
+        assert is_valid_t_path(octagon, 3, 7, TPath((3, 2, 6, 7), (7, 3, 11))).ok
+        assert crossing_keys(octagon, 3, 7) is keys
+        assert crossing_keys(octagon, 7, 3) is not keys
+        assert keys == crossing_keys(Triangulation(octagon.n, octagon.edges), 3, 7)
+
+    @pytest.mark.parametrize(
+        "source, target, message",
+        [
+            (3.0, 7, "vertex 3.0 out of range 1..8"),
+            (True, 3, "vertex True out of range 1..8"),
+            (3, 4, "vertices 3 and 4 are adjacent"),
+            (8, 1, "vertices 8 and 1 are adjacent"),
+            (3, 9, "vertex 9 out of range 1..8"),
+            (0, 3, "vertex 0 out of range 1..8"),
+        ],
+    )
+    def test_a_filled_memo_still_validates_the_endpoints(self, octagon, source, target, message):
+        # 3.0 and True hash like the vertices 3 and 1, whose tables are kept.
+        for chord in all_polygon_diagonals(octagon.n):
+            crossing_keys(octagon, chord.u, chord.v)
+            crossing_keys(octagon, chord.v, chord.u)
+        candidate = TPath((source, target), (1,))
+        calls = (
+            lambda: crossing_keys(octagon, source, target),
+            lambda: is_valid_t_path(octagon, source, target, candidate),
+            lambda: enumerate_t_paths(octagon, source, target),
+        )
+        for call in calls:
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
+def validator_cases(max_rank):
+    """(t, source, target, candidate, tables) for a fixed set of candidates on
+    every oriented chord of every triangulation up to ``max_rank``.
+
+    Per listed path: the path, one label and one vertex swapped for an
+    out-of-range or another in-range value, the last step dropped, the last
+    label dropped, one edge walked back and forth once more, and the path
+    reversed.  Per chord, four random walks from the source along the
+    triangulation that stop at the target or where no unused edge is left.
+    Each candidate goes with the tables it is checked against: none, the
+    chord's own, and the opposite orientation's, whose reversed crossing order
+    makes rule 6 fire.
+    """
+    rng = random.Random(47840)
+    for t, source, target in small_instances(max_rank):
+        nv, n_labels, steps = t.n_vertices, t.n_labels, t._steps
+        tables = (None, crossing_keys(t, source, target), crossing_keys(t, target, source))
+        out = []
+        for p in enumerate_t_paths(t, source, target):
+            vs, ls = p.vertices, p.labels
+            out.append(TPath(vs, ls))
+            i = rng.randrange(len(ls))
+            bad = rng.choice((0, -1, -2, n_labels + 1, 99, rng.randint(1, n_labels)))
+            out.append(TPath(vs, ls[:i] + (bad,) + ls[i + 1 :]))
+            i = rng.randrange(len(vs))
+            bad = rng.choice((0, -1, nv + 1, 99, rng.randint(1, nv)))
+            out.append(TPath(vs[:i] + (bad,) + vs[i + 1 :], ls))
+            out.append(TPath(vs[:-1], ls[:-1]))
+            out.append(TPath(vs, ls[:-1]))
+            k = rng.randrange(len(ls))
+            out.append(TPath(vs[: k + 2] + vs[k:], ls[: k + 1] + ls[k : k + 1] + ls[k:]))
+            out.append(TPath(vs[::-1], ls[::-1]))
+        for _ in range(4):
+            vs, ls = [source], []
+            options = steps[source]
+            while options:
+                lab, _, nxt = rng.choice(options)
+                vs.append(nxt)
+                ls.append(lab)
+                if nxt == target:
+                    break
+                options = [step for step in steps[nxt] if step[0] not in ls]
+            out.append(TPath(tuple(vs), tuple(ls)))
+        for candidate in out:
+            yield t, source, target, candidate, tables
+
+
+def test_validator_outcomes_are_pinned():
+    """Every outcome (the ``PathCheck``, or the ``InputError`` and its
+    message) on the candidates of ``validator_cases(4)``, hashed in order,
+    is what the validator gave before the rule checks moved into a core that
+    formats nothing."""
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for t, source, target, candidate, tables in validator_cases(4):
+        for keys in tables:
+            try:
+                check = is_valid_t_path(t, source, target, candidate, keys=keys)
+            except InputError as exc:
+                text, kind = f"InputError: {exc}", "InputError"
+            else:
+                text, kind = repr(check), f"rule {check.violated}" if check.violated else "valid"
+            digest.update(text.encode() + b"\n")
+            kinds[kind] += 1
+    assert kinds == {
+        "valid": 12363,
+        "rule 1": 25755,
+        "rule 2": 2574,
+        "rule 3": 10872,
+        "rule 4": 7776,
+        "rule 5": 4428,
+        "rule 6": 1434,
+        "InputError": 28734,
+    }
+    assert digest.hexdigest() == "535c0b02fb1ab64b74279dc8160071f5f9b01c96def16cd7fd9b069f052a8a69"
 
 
 def _input_error(t, source, target, candidate, keys):
@@ -253,6 +371,34 @@ class TestBruteForce:
             brute_force_t_paths(square, 1, 2)
         with pytest.raises(InputError):
             brute_force_t_path_table(square, 1, (3, 2))
+
+    def test_every_odd_arrival_gets_the_validators_verdict(self):
+        # Every odd-length edge-distinct walk, listed by a walk of the test's
+        # own; the oracle keeps, in order, exactly the arrivals at each target
+        # that is_valid_t_path accepts.
+        def odd_walks(t, vertices, labels):
+            for lab, arc in enumerate(t.edges, start=1):
+                if lab not in labels and arc.is_incident(vertices[-1]):
+                    walk = TPath(vertices + (arc.other_end(vertices[-1]),), labels + (lab,))
+                    if walk.length % 2:
+                        yield walk
+                    yield from odd_walks(t, walk.vertices, walk.labels)
+
+        arrivals = 0
+        for n in range(1, 4):
+            diagonals = all_polygon_diagonals(n)
+            for t in all_triangulations(n):
+                for source in range(1, n + 4):
+                    targets = [d.other_end(source) for d in diagonals if d.is_incident(source)]
+                    expected = {target: [] for target in targets}
+                    for walk in odd_walks(t, (source,), ()):
+                        target = walk.vertices[-1]
+                        if target in expected:
+                            arrivals += 1
+                            if is_valid_t_path(t, source, target, walk).ok:
+                                expected[target].append(walk)
+                    assert brute_force_t_path_table(t, source, targets) == expected
+        assert arrivals == 5498  # 5112 of them at rank 3
 
     def test_one_walk_serves_every_target(self):
         # Each target's list, order included, is what the pruned search finds.

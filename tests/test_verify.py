@@ -10,6 +10,7 @@ import pytest
 
 import ptolemy.expansion
 import ptolemy.oracle
+import ptolemy.polygon
 import ptolemy.tpaths
 import ptolemy.verify
 from ptolemy import (
@@ -30,6 +31,7 @@ _honest_expand = ptolemy.expansion.expand
 _honest_recursive = ptolemy.oracle.cluster_variable_recursive
 _honest_enumerate = ptolemy.tpaths.enumerate_t_paths
 _honest_brute_force = ptolemy.tpaths.brute_force_t_path_table
+_honest_rule_core = ptolemy.tpaths._broken_rule
 
 
 def skewed_expand(t, chord, origin=None, *, paths=None):
@@ -105,6 +107,14 @@ def dropping_brute_force(t, source, targets):
     return table
 
 
+def accepting_rule_core(t, source, target, vertices, labels, keys):
+    """Rule check that finds no broken rule on triangulations holding 2-5, so
+    the oracle keeps every odd arrival there."""
+    if t.contains(_FAULTY):
+        return None
+    return _honest_rule_core(t, source, target, vertices, labels, keys)
+
+
 _SEED = "in (Arc(u=1, v=5), Arc(u=2, v=4), Arc(u=2, v=5))"
 
 # fault: (function replaced, stand-in, the rank-3 full sweep's failing rows as
@@ -174,6 +184,11 @@ FAULTS = {
         _honest_brute_force,
         dropping_brute_force,
         {"enumeration-vs-brute-force": ("fail", 131, f"1->5 {_SEED}")},
+    ),
+    "accept-every-walk": (
+        _honest_rule_core,
+        accepting_rule_core,
+        {"enumeration-vs-brute-force": ("fail", 127, f"1->3 {_SEED}")},
     ),
 }
 
@@ -338,6 +353,31 @@ def test_sweep_walks_once_per_source_vertex_per_triangulation():
     # 14 triangulations of the hexagon, 6 source vertices each
     assert len(calls) == 14 * 6
     assert len(set(calls)) == len(calls)
+
+
+def test_sweep_builds_one_crossing_table_per_oriented_chord():
+    honest_keys, honest_crosses = ptolemy.tpaths.crossing_keys, ptolemy.polygon.crosses
+    crossed = []
+    built = []
+
+    def counted_crosses(*args):
+        crossed.append(args)
+        return honest_crosses(*args)
+
+    def counted_keys(t, source, target):
+        before = len(crossed)
+        keys = honest_keys(t, source, target)
+        if len(crossed) > before:
+            built.append((t.diagonal_key(), source, target))
+        return keys
+
+    with injected(honest_crosses, counted_crosses), injected(honest_keys, counted_keys):
+        assert all_pass(run_checks(3, "full"))
+    # 14 triangulations of the hexagon, 9 diagonals, both orientations of
+    # each; building a table tests each of the 3 diagonals once
+    assert len(built) == 2 * 9 * 14
+    assert len(set(built)) == len(built)
+    assert len(crossed) == 3 * len(built)
 
 
 def test_sweep_orders_each_arcs_crossings_once_per_origin(monkeypatch):
