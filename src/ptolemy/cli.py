@@ -21,6 +21,7 @@ from .expansion import expand, expand_trivial_coefficients
 from .laurent import LaurentPolynomial
 from .oracle import exchange_matrix, initial_coefficients
 from .polygon import (
+    MAX_MATRIX_RANK,
     Arc,
     Triangulation,
     all_triangulations,
@@ -201,14 +202,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.diagonals is None and args.spec_file is None:
         if args.n is None:
             raise InputError("no rank given (use --n)")
-        t = snake_triangulation(args.n)
+        spec = None
         n = args.n
         fmt = args.format or "text"
     else:
         spec = _load_spec(args)
-        t = spec.triangulation()
         n = spec.n
         fmt = spec.fmt
+    if n > MAX_MATRIX_RANK:
+        raise ResourceLimitError(f"matrix is guarded at rank {MAX_MATRIX_RANK}, got {n}")
+    t = snake_triangulation(n) if spec is None else spec.triangulation()
     matrix = exchange_matrix(t)
     pairs = initial_coefficients(t)
     if fmt == "structured":

@@ -18,7 +18,10 @@ and fields from 0 to 127; the top bit of every field is a guard bit that no
 stored key sets.  The fields are unsigned and x_1 leads, so integer order of
 keys is lexicographic order of exponent vectors and sorting keys sorts terms.
 A constructor given an exponent outside the range raises ``InputError``; there
-is no second representation to fall back to.
+is no second representation to fall back to.  Internal constructions call the
+constructor with no terms and fill the key dictionary themselves; for empty
+``terms`` it returns before testing for a ``Mapping``, an ABC check that runs
+in Python.
 
 Arithmetic never decodes a key.  The product of two terms has key
 ``k1 + k2 - zero``, where ``zero`` is the key of x^0, and multiplying by x_i^d
@@ -164,6 +167,9 @@ class LaurentPolynomial:
         if nvars < 1:
             raise InputError(f"need at least one variable, got {nvars}")
         self.nvars = nvars
+        if not terms:
+            self._terms = {}
+            return
         data: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:

@@ -95,7 +95,9 @@ def cluster_variable_recursive(
     x[side]/x[pivot] as one shift of its keys (``_shifted``, the path a
     product with a one-term operand takes), so each term is shifted once and
     no ratio or product is built; the division is by a single variable,
-    hence exact.  Results are memoized per arc, confined to this call.
+    hence exact.  Each step comes from ``first_crossing_step``, one call per
+    arc not in the triangulation.  Results are memoized by the arc's vertex
+    pair, confined to this call.
     ``origin`` orients only the top step (recursive steps orient
     canonically); the result does not depend on it, which the test suite
     asserts.
@@ -106,13 +108,15 @@ def cluster_variable_recursive(
         raise InputError(f"{origin} is not an endpoint of {arc}")
     nvars = t.n_labels
     _, units = packed_layout(nvars)
-    memo: dict[Arc, LaurentPolynomial] = {}
+    labels = t._label_by_pair
+    memo: dict[tuple[int, int], LaurentPolynomial] = {}
 
     def resolve(current: Arc, anchor: int) -> LaurentPolynomial:
-        cached = memo.get(current)
+        pair = (current.u, current.v)
+        cached = memo.get(pair)
         if cached is not None:
             return cached
-        label = t.label_of(current)
+        label = labels.get(pair)
         if label is not None:
             poly = LaurentPolynomial.variable(label, nvars)
         else:
@@ -123,7 +127,7 @@ def cluster_variable_recursive(
             ccw = resolve(step.ccw_far, step.ccw_far.u)._shifted(units[step.cw_side] - pivot, 1)
             cw = resolve(step.cw_far, step.cw_far.u)._shifted(units[step.ccw_side] - pivot, 1)
             poly = ccw + cw
-        memo[current] = poly
+        memo[pair] = poly
         return poly
 
     poly = resolve(arc, origin if origin is not None else arc.u)

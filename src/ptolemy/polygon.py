@@ -21,6 +21,9 @@ from .errors import InputError, InvariantError, ResourceLimitError
 
 # Largest rank accepted by the exhaustive enumerators (11-gon, 4862 triangulations).
 MAX_ENUMERATION_RANK = 8
+# Largest rank ``ptolemy matrix`` accepts: its (2n+3) x n matrix grows
+# quadratically, and rank 1000 takes about 1.5 s (Python 3.11, 2 vCPUs).
+MAX_MATRIX_RANK = 1000
 
 
 def ccw_steps(u: int, v: int, n_vertices: int) -> int:
@@ -187,12 +190,13 @@ class CrossingStep:
     """Quadrilateral data at the first crossing of an oriented chord.
 
     For a chord from ``origin`` to ``target`` not belonging to the
-    triangulation, ``pivot`` labels the crossing diagonal nearest ``origin``.
-    The triangle of the triangulation on the origin side of the pivot has apex
-    ``origin``; its other two sides are the triangulation edges
+    triangulation, ``pivot`` labels the crossing diagonal nearest ``origin``:
+    the third side of the triangle of the triangulation that the chord leaves
+    ``origin`` through.  That triangle's other two sides are the edges
     {origin, ccw_corner} and {origin, cw_corner}, where the corners are the
-    pivot's endpoints on the counterclockwise and clockwise walks from origin
-    to target.  ``ccw_far`` and ``cw_far`` close up the quadrilateral
+    neighbours of origin nearest the chord on the counterclockwise and
+    clockwise walks from origin to target, hence also the pivot's endpoints
+    on those walks.  ``ccw_far`` and ``cw_far`` close up the quadrilateral
     (origin, ccw_corner, target, cw_corner); they need not belong to the
     triangulation.  The one-step exchange identity reads
 
@@ -366,6 +370,7 @@ class Triangulation:
 
         Empty exactly when the chord belongs to the triangulation.
         """
+        chord.validate(self.n_vertices)
         if not chord.is_diagonal(self.n_vertices):
             raise InputError(f"{chord} is a boundary edge; only diagonals can be crossed")
         if not chord.is_incident(origin):
@@ -414,12 +419,15 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
     """Locate the quadrilateral at the chord's first crossing from origin.
 
     Returns None when nothing crosses, i.e. when the chord belongs to the
-    triangulation.  Each result, None included, is kept on ``t`` under
-    ``(chord.u, chord.v, origin)``, so every later call on the same
-    triangulation (the recursion's steps, the partition and bijection checks)
-    shares one crossing order per arc and origin.  The memo holds geometry
+    triangulation.  The step is read off the fan of triangulation edges at
+    ``origin`` (see ``CrossingStep``), in time linear in origin's degree: no
+    crossing is tested and nothing is sorted.  Each result, None included, is
+    kept on ``t`` under ``(chord.u, chord.v, origin)``, so every later call on
+    the same triangulation (the recursion's steps, the partition and bijection
+    checks) shares one step per arc and origin.  The memo holds geometry
     only, lives exactly as long as ``t``, and is created on the first call.
-    Calls that raise store nothing.
+    Calls that raise store nothing; the chord's vertex range is checked
+    before anything else.
     """
     memo = t._crossing_steps
     key = (chord.u, chord.v, origin)
@@ -429,28 +437,42 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
 
 
 def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingStep | None:
-    ordered = t.crossing_labels_from(chord, origin)
-    if not ordered:
-        return None
-    pivot = ordered[0]
-    target = chord.other_end(origin)
     nv = t.n_vertices
+    chord.validate(nv)
+    if chord.is_boundary(nv):
+        raise InputError(f"{chord} is a boundary edge; only diagonals can be crossed")
+    if not chord.is_incident(origin):
+        raise InputError(f"{origin} is not an endpoint of {chord}")
+    labels = t._label_by_pair
+    if (chord.u, chord.v) in labels:
+        return None
+    target = chord.other_end(origin)
     span = ccw_steps(origin, target, nv)
-    pivot_arc = t.arc(pivot)
-    ccw_corner = cw_corner = None
-    for x in pivot_arc.endpoints():
-        if 0 < ccw_steps(origin, x, nv) < span:
-            ccw_corner = x
-        else:
-            cw_corner = x
-    if ccw_corner is None or cw_corner is None:
-        raise InvariantError(f"pivot {pivot_arc} does not cross {origin}-{target}")
-    ccw_side = t.label_of(Arc(origin, ccw_corner))
-    cw_side = t.label_of(Arc(origin, cw_corner))
-    # The triangle on the origin side of the nearest crossing has apex origin,
-    # so both sides exist in the triangulation.
+    # The chord leaves origin between two consecutive edges of origin's fan:
+    # the neighbours nearest it on the counterclockwise and clockwise walks to
+    # target.  With no neighbour on one side the corner stays origin itself,
+    # and a check below refuses it.
+    ccw_corner = cw_corner = origin
+    ccw_step, cw_step = 0, nv
+    for x in t._neighbors[origin]:
+        s = ccw_steps(origin, x, nv)
+        if s < span:
+            if s > ccw_step:
+                ccw_step, ccw_corner = s, x
+        elif s < cw_step:
+            cw_step, cw_corner = s, x
+    # Consecutive neighbours of origin bound a triangle with it, whose third
+    # side is the first diagonal the chord crosses.
+    pivot = labels.get((min(ccw_corner, cw_corner), max(ccw_corner, cw_corner)))
+    if pivot is None:
+        raise InvariantError(
+            f"neighbours {ccw_corner} and {cw_corner} of {origin} "
+            f"around {origin}-{target} are not joined"
+        )
+    ccw_side = labels.get((min(origin, ccw_corner), max(origin, ccw_corner)))
+    cw_side = labels.get((min(origin, cw_corner), max(origin, cw_corner)))
     if ccw_side is None or cw_side is None:
-        raise InvariantError(f"triangle at {origin} before pivot {pivot_arc} lacks a side")
+        raise InvariantError(f"triangle at {origin} before pivot {t.edges[pivot - 1]} lacks a side")
     return CrossingStep(
         origin=origin,
         target=target,

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import ptolemy.cli
 from ptolemy import Arc, build_triangulation, expand
 from ptolemy.cli import _build_parser, main, polynomial_from_payload
+from ptolemy.polygon import MAX_MATRIX_RANK
 from conftest import (
     OCTAGON_DIAGONALS,
     OCTAGON_EXPANSION_TEXT,
@@ -123,6 +125,20 @@ class TestMatrix:
         code, out, _ = run_cli(capsys, "matrix", "--n", "1", "--diagonals", "1-3")
         assert code == 0
         assert out.splitlines()[:5] == ["0", "1", "-1", "1", "-1"]
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--diagonals", ",".join(f"1-{v}" for v in range(3, MAX_MATRIX_RANK + 3))]]
+    )
+    def test_rank_over_the_cap_refused_before_building(self, capsys, monkeypatch, extra):
+        def refuse(*args):
+            raise AssertionError("a triangulation was built")
+
+        monkeypatch.setattr(ptolemy.cli, "snake_triangulation", refuse)
+        monkeypatch.setattr(ptolemy.cli, "build_triangulation", refuse)
+        n = MAX_MATRIX_RANK + 1
+        code, out, err = run_cli(capsys, "matrix", "--n", str(n), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix is guarded at rank {MAX_MATRIX_RANK}, got {n}\n"
 
 
 class TestVerify:

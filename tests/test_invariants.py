@@ -20,9 +20,10 @@ def no_step(t, chord, origin):
     return None
 
 
-def non_crossing_pivot(self, chord, origin):
-    """Stand-in crossing order naming 4-6, which does not cross the octagon's 3-7."""
-    return [2]
+def stray_fans(self):
+    """Stand-in neighbour sets: 3 joined to 4 and 8, which are not joined to
+    each other, and 5 joined to 2, which no edge of the octagon joins."""
+    return {3: {4, 8}, 5: {2, 4}}
 
 
 # site: (owner, attribute, stand-in, call on the octagon, expected message fragment)
@@ -43,16 +44,16 @@ FAULTS = {
     ),
     "first-crossing-corners": (
         Triangulation,
-        "crossing_labels_from",
-        non_crossing_pivot,
+        "_neighbors",
+        property(stray_fans),
         lambda t: first_crossing_step(t, Arc(3, 7), 3),
-        "pivot 4-6 does not cross 3-7",
+        "neighbours 4 and 8 of 3 around 3-7 are not joined",
     ),
     "first-crossing-sides": (
         Triangulation,
-        "label_of",
-        no_label,
-        lambda t: first_crossing_step(t, Arc(3, 7), 3),
+        "_neighbors",
+        property(stray_fans),
+        lambda t: first_crossing_step(t, Arc(3, 5), 5),
         "before pivot 2-4 lacks a side",
     ),
     "exchange-matrix-sides": (

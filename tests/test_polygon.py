@@ -4,18 +4,23 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptolemy import (
     Arc,
+    CrossingStep,
     InputError,
     ResourceLimitError,
     Triangulation,
     all_polygon_diagonals,
     all_triangulations,
     build_triangulation,
+    check_partitions,
     crosses,
     crosses_before,
     crossing_position,
+    first_crossing_step,
     flip_graph,
     snake_triangulation,
 )
@@ -303,6 +308,99 @@ class TestCrossingLabelsOrdered:
             octagon.crossing_labels_from(Arc(1, 2), 1)
         # the unordered crossing set of a boundary edge is empty, not an error
         assert octagon.crossing_labels(Arc(1, 2)) == []
+
+    def test_vertex_range_checked_before_boundary(self, octagon):
+        # 10 wraps round to 2 on the octagon, which would make 1-10 look like an edge
+        with pytest.raises(InputError, match=r"^vertex 10 out of range 1\.\.8$"):
+            octagon.crossing_labels_from(Arc(1, 10), 1)
+
+
+def sorted_first_crossing_step(t, chord, origin):
+    """The step by its definition: the pivot is the first diagonal in the
+    crossing order from origin, the corners are its endpoints on the
+    counterclockwise and clockwise walks to target, and the sides are the
+    labels joining the corners to origin."""
+    ordered = t.crossing_labels_from(chord, origin)
+    if not ordered:
+        return None
+    pivot = ordered[0]
+    target = chord.other_end(origin)
+    nv = t.n_vertices
+    a, b = t.arc(pivot).endpoints()
+    ccw, cw = (a, b) if 0 < (a - origin) % nv < (target - origin) % nv else (b, a)
+    return CrossingStep(
+        origin=origin,
+        target=target,
+        pivot=pivot,
+        ccw_corner=ccw,
+        cw_corner=cw,
+        ccw_side=t.label_of(Arc(origin, ccw)),
+        cw_side=t.label_of(Arc(origin, cw)),
+        ccw_far=Arc(ccw, target),
+        cw_far=Arc(cw, target),
+    )
+
+
+def assert_steps_match_definition(t):
+    for chord in all_polygon_diagonals(t.n):
+        for origin in chord.endpoints():
+            assert first_crossing_step(t, chord, origin) == sorted_first_crossing_step(
+                t, chord, origin
+            ), (t.diagonal_arcs(), chord, origin)
+
+
+@st.composite
+def walked_triangulations(draw):
+    """A rank 7..25 triangulation reached by random flips from the snake."""
+    n = draw(st.integers(min_value=7, max_value=25))
+    t = snake_triangulation(n)
+    for k in draw(st.lists(st.integers(min_value=1, max_value=n), max_size=3 * n)):
+        t = t.flip(k)
+    return t
+
+
+class TestFirstCrossingStep:
+    def test_octagon(self, octagon):
+        assert first_crossing_step(octagon, Arc(3, 7), 3) == CrossingStep(
+            origin=3,
+            target=7,
+            pivot=1,
+            ccw_corner=4,
+            cw_corner=2,
+            ccw_side=8,
+            cw_side=7,
+            ccw_far=Arc(4, 7),
+            cw_far=Arc(2, 7),
+        )
+        assert first_crossing_step(octagon, Arc(3, 7), 7).pivot == 5
+        assert first_crossing_step(octagon, Arc(2, 6), 2) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_definition_exhaustive(self, n):
+        for t in all_triangulations(n):
+            assert_steps_match_definition(t)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(walked_triangulations())
+    def test_matches_definition_on_flip_walks(self, t):
+        assert_steps_match_definition(t)
+
+    @pytest.mark.parametrize(
+        "chord,origin,message",
+        [
+            (Arc(1, 10), 1, r"^vertex 10 out of range 1\.\.8$"),
+            (Arc(1, 2), 1, r"^1-2 is a boundary edge; only diagonals can be crossed$"),
+            (Arc(3, 7), 5, r"^5 is not an endpoint of 3-7$"),
+        ],
+    )
+    def test_rejections_store_nothing(self, octagon, chord, origin, message):
+        with pytest.raises(InputError, match=message):
+            first_crossing_step(octagon, chord, origin)
+        assert octagon._crossing_steps == {}
+
+    def test_partition_check_reports_the_vertex_range(self, octagon):
+        with pytest.raises(InputError, match=r"^vertex 10 out of range 1\.\.8$"):
+            check_partitions(octagon, 1, 10)
 
 
 def _maximal_noncrossing_sets(n):

@@ -380,15 +380,15 @@ def test_sweep_builds_one_crossing_table_per_oriented_chord():
     assert len(crossed) == 3 * len(built)
 
 
-def test_sweep_orders_each_arcs_crossings_once_per_origin(monkeypatch):
+def test_sweep_computes_each_crossing_step_once_per_origin(monkeypatch):
     calls = []
-    honest = Triangulation.crossing_labels_from
+    honest = ptolemy.polygon._first_crossing_step
 
-    def counted(self, chord, origin):
-        calls.append((self.diagonal_key(), chord, origin))
-        return honest(self, chord, origin)
+    def counted(t, chord, origin):
+        calls.append((t.diagonal_key(), chord, origin))
+        return honest(t, chord, origin)
 
-    monkeypatch.setattr(Triangulation, "crossing_labels_from", counted)
+    monkeypatch.setattr(ptolemy.polygon, "_first_crossing_step", counted)
     assert all_pass(run_checks(3, "full"))
     assert calls
     assert len(set(calls)) == len(calls)
