@@ -21,22 +21,24 @@ next, and one of the two sits at an even position.
 ``enumerate_t_paths`` walks a per-call table of the moves the rules allow
 from each search state, pruned to the moves from which b stays reachable, and
 hands out each path's packed weight as it finds it;
-``brute_force_t_path_table`` generates every edge-distinct walk from one
-source and filters with the six rules, serving as its independent oracle at
-small rank.  The trails from a source do not depend on the target, so one
-walk serves all of the source's targets.  Each odd-length arrival at a
-target goes to the validator's rule core (``_broken_rule``) with that
-target's crossing table; the core names the first broken rule and formats
-nothing, so a rejected arrival costs no ``TPath`` and no ``PathCheck``, and
-only an accepted one is built into a path.  ``brute_force_t_paths`` is that
-walk for a single target.  Both routes list paths in lexicographic order of
-their label sequences.  Each oriented chord gets one table of crossing
-positions (``crossing_keys``), kept on the triangulation, and the search,
-its validator calls and the oracle all read it; both walks step along one
-table per triangulation (``Triangulation._steps``).  Every path the pruned
-search emits is checked against all six rules by ``is_valid_t_path``, at a
-cost linear in its length, and a failure raises ``InvariantError``, under
-``python -O`` as well.  Vertex and label ranges are checked only when the
+``brute_force_t_path_table`` walks the edge-distinct trails from one source
+and filters with the six rules, serving as its independent oracle at small
+rank.  The trails from a source do not depend on the target, so one walk
+serves all of the source's targets; a trail is dropped once an even-position
+edge misses every target's chord (rule 5).  Each odd-length arrival at a
+target whose chord those edges all cross goes to the validator's rule core
+(``_broken_rule``) with that target's crossing table; the core names the
+first broken rule and formats nothing, so a rejected arrival costs no
+``TPath`` and no ``PathCheck``, and only an accepted one is built into a
+path.  ``brute_force_t_paths`` is that walk for a single target.  Both
+routes list paths in lexicographic order of their label sequences.  Each
+oriented chord gets one table of crossing positions (``crossing_keys``),
+kept on the triangulation, and the search, its validator calls and the
+oracle all read it; both walks step along one table per triangulation
+(``Triangulation._steps``).  Every path the pruned search emits is checked
+against all six rules by ``is_valid_t_path``, at a cost linear in its
+length, and a failure raises ``InvariantError``, under ``python -O`` as
+well.  Vertex and label ranges are checked only when the
 lengths mismatch or rule 1 or 2 fails (or the path is empty), since rule 2
 holding implies them (see ``is_valid_t_path``).
 """
@@ -50,7 +52,7 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .laurent import Monomial, packed_layout
 from .polygon import Arc, Triangulation, crosses, crossing_position
 
-# brute_force_t_paths walks every edge-distinct path; keep it to small ranks.
+# brute_force_t_paths walks edge-distinct trails; keep it to small ranks.
 MAX_BRUTE_FORCE_RANK = 4
 
 
@@ -298,41 +300,61 @@ def brute_force_t_paths(t: Triangulation, source: int, target: int) -> list[TPat
 def brute_force_t_path_table(
     t: Triangulation, source: int, targets: Iterable[int]
 ) -> dict[int, list[TPath]]:
-    """Oracle enumeration from one source: every edge-distinct walk, filtered
-    by the six rules, for each target at once.
+    """Oracle enumeration from one source: edge-distinct walks, filtered by
+    the six rules, for each target at once.
 
     One walk from ``source`` serves every target: each odd-length arrival at
     a target is checked against the six rules with that target's own
     crossing table, by the same rule check ``is_valid_t_path`` runs, and
-    becomes a ``TPath`` only when it passes.  No rule is used for pruning
-    beyond edge distinctness, so agreement with ``enumerate_t_paths``
-    exercises the pruned search end to end.  Guarded to small ranks; the
-    walk count grows quickly.
+    becomes a ``TPath`` only when it passes.  The walk carries a mask of the
+    targets whose chord every even-position edge so far crosses, read from
+    the same crossing tables; it extends no trail whose mask is empty and
+    checks an arrival only when its target's bit is set.  Rule 5 is closed
+    under prefixes: an even-position edge that misses a target's chord keeps
+    that position in every extension of the trail.  So the pruning drops no
+    path that could pass, and each list, order included, is the one a walk
+    over every edge-distinct trail gives.  The oracle reads nothing of the
+    pruned search (``enumerate_t_paths``), neither its moves, its crossing
+    ranks nor its reachability test, so agreement between the two still
+    exercises that search end to end.  Guarded to small ranks; the walk
+    count grows quickly.
     """
     if t.n > MAX_BRUTE_FORCE_RANK:
         raise ResourceLimitError(
             f"brute-force enumeration is guarded at rank {MAX_BRUTE_FORCE_RANK}, got {t.n}"
         )
     keys = {target: crossing_keys(t, source, target) for target in targets}
+    bit_of = {target: 1 << i for i, target in enumerate(keys)}
+    # Label -> the bits of the targets whose chord it crosses.
+    crossed: dict[int, int] = {}
+    for target, table in keys.items():
+        for lab in table:
+            crossed[lab] = crossed.get(lab, 0) | bit_of[target]
     steps = t._steps
     out: dict[int, list[TPath]] = {target: [] for target in keys}
     vertices = [source]
     labels: list[int] = []
 
-    def extend(vertex: int, used: int, odd: bool) -> None:
+    def extend(vertex: int, used: int, odd: bool, live: int) -> None:
         for lab, bit, nxt in steps[vertex]:
             if used & bit:
                 continue
+            if odd:
+                kept = live
+            else:
+                kept = live & crossed.get(lab, 0)
+                if not kept:
+                    continue
             labels.append(lab)
             vertices.append(nxt)
-            if odd and nxt in keys:
+            if odd and live & bit_of.get(nxt, 0):
                 if _broken_rule(t, source, nxt, vertices, labels, keys[nxt]) is None:
                     out[nxt].append(TPath(tuple(vertices), tuple(labels)))
-            extend(nxt, used | bit, not odd)
+            extend(nxt, used | bit, not odd, kept)
             labels.pop()
             vertices.pop()
 
-    extend(source, 0, True)
+    extend(source, 0, True, (1 << len(keys)) - 1)
     del extend  # a self-calling closure, as in enumerate_t_paths
     return out
 

@@ -84,7 +84,8 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
     while pending:
         # Each triangulation, and the crossing steps memoized on it, goes after its pass.
         t = pending.popleft()
-        key = t.diagonal_key()
+        # Formatted once per triangulation; the details below show it only on a failure.
+        key = str(t.diagonal_key())
         brute: dict[int, dict[int, list[TPath]]] = {}
         table = {
             (source, target): enumerate_t_paths(t, source, target)

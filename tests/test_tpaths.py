@@ -21,6 +21,7 @@ from ptolemy import (
     all_triangulations,
     brute_force_t_path_table,
     brute_force_t_paths,
+    build_triangulation,
     enumerate_t_paths,
     expand,
     is_valid_t_path,
@@ -373,9 +374,10 @@ class TestBruteForce:
             brute_force_t_path_table(square, 1, (3, 2))
 
     def test_every_odd_arrival_gets_the_validators_verdict(self):
-        # Every odd-length edge-distinct walk, listed by a walk of the test's
-        # own; the oracle keeps, in order, exactly the arrivals at each target
-        # that is_valid_t_path accepts.
+        # Every odd-length edge-distinct walk, listed by an unpruned walk of
+        # the test's own; the oracle keeps, in order, exactly the arrivals at
+        # each target that is_valid_t_path accepts.  Every triangulation up
+        # to rank 3, then two at rank 4: the fan at vertex 1 and the snake.
         def odd_walks(t, vertices, labels):
             for lab, arc in enumerate(t.edges, start=1):
                 if lab not in labels and arc.is_incident(vertices[-1]):
@@ -384,21 +386,49 @@ class TestBruteForce:
                         yield walk
                     yield from odd_walks(t, walk.vertices, walk.labels)
 
-        arrivals = 0
+        fan = build_triangulation(4, [(1, 3), (1, 4), (1, 5), (1, 6)])
+        cases = [t for n in range(1, 4) for t in all_triangulations(n)]
+        cases += [fan, snake_triangulation(4)]
+        arrivals = Counter()
+        for t in cases:
+            diagonals = all_polygon_diagonals(t.n)
+            for source in range(1, t.n_vertices + 1):
+                targets = [d.other_end(source) for d in diagonals if d.is_incident(source)]
+                expected = {target: [] for target in targets}
+                for walk in odd_walks(t, (source,), ()):
+                    target = walk.vertices[-1]
+                    if target in expected:
+                        arrivals[t.n] += 1
+                        if is_valid_t_path(t, source, target, walk).ok:
+                            expected[target].append(walk)
+                assert brute_force_t_path_table(t, source, targets) == expected
+        assert arrivals == {1: 36, 2: 350, 3: 5112, 4: 3268}
+
+    def test_rule_core_sees_only_arrivals_that_keep_rule_5(self, monkeypatch):
+        # The walk stops a trail once an even-position edge misses every
+        # target's chord, so no arrival the rule core sees breaks rule 5.
+        honest = ptolemy.tpaths._broken_rule
+        verdicts = Counter()
+
+        def counted(t, source, target, vertices, labels, keys):
+            broken = honest(t, source, target, vertices, labels, keys)
+            verdicts[t.n, None if broken is None else broken[0]] += 1
+            return broken
+
+        monkeypatch.setattr(ptolemy.tpaths, "_broken_rule", counted)
         for n in range(1, 4):
             diagonals = all_polygon_diagonals(n)
             for t in all_triangulations(n):
                 for source in range(1, n + 4):
                     targets = [d.other_end(source) for d in diagonals if d.is_incident(source)]
-                    expected = {target: [] for target in targets}
-                    for walk in odd_walks(t, (source,), ()):
-                        target = walk.vertices[-1]
-                        if target in expected:
-                            arrivals += 1
-                            if is_valid_t_path(t, source, target, walk).ok:
-                                expected[target].append(walk)
-                    assert brute_force_t_path_table(t, source, targets) == expected
-        assert arrivals == 5498  # 5112 of them at rank 3
+                    brute_force_t_path_table(t, source, targets)
+        assert verdicts == {
+            (1, None): 12,
+            (2, None): 90,
+            (2, 6): 10,
+            (3, None): 540,
+            (3, 6): 108,
+        }
 
     def test_one_walk_serves_every_target(self):
         # Each target's list, order included, is what the pruned search finds.
