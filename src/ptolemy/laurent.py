@@ -43,11 +43,11 @@ x1^-1..xm^-1: two byte translations mark its fields of exponent 1 and -1, and
 ``itertools.compress`` picks the names.  Any other term is formatted by
 ``render_term``, the one formatter of a general exponent vector.
 
-A product with a one-term operand ``k * x^m`` adds ``key(m) - zero`` to each
-key of the other operand, with no merging: a shift by a fixed vector is
-injective, so no two shifted terms meet, and a product of two nonzero
-coefficients is nonzero, so the result is already in normal form.  Every
-product of the exchange recursion has this shape.
+Multiplying by a one-term ``k * x^m`` (``_shifted``) adds ``key(m) - zero``
+to each key, with no merging: a shift by a fixed vector is injective, so no
+two shifted terms meet, and a product of two nonzero coefficients is
+nonzero, so the result is already in normal form.  The exchange recursion
+and ``divide_by_variable`` multiply only this way.
 """
 
 from __future__ import annotations
@@ -243,10 +243,6 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
         zero, _ = packed_layout(self.nvars)
-        for mono, poly in ((self, other), (other, self)):
-            if len(mono._terms) == 1:
-                ((key, k),) = mono._terms.items()
-                return poly._shifted(key - zero, k)
         out: dict[int, int] = {}
         for k1, c1 in self._terms.items():
             base = k1 - zero

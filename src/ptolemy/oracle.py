@@ -92,12 +92,11 @@ def cluster_variable_recursive(
 
     where both far arcs cross strictly fewer diagonals, so the recursion
     terminates.  Each far arc's polynomial is multiplied by the one-term
-    x[side]/x[pivot] as one shift of its keys (``_shifted``, the path a
-    product with a one-term operand takes), so each term is shifted once and
-    no ratio or product is built; the division is by a single variable,
-    hence exact.  Each step comes from ``first_crossing_step``, one call per
-    arc not in the triangulation.  Results are memoized by the arc's vertex
-    pair, confined to this call.
+    x[side]/x[pivot] as one shift of its keys (``_shifted``), so each term
+    is shifted once and no ratio or product is built; the division is by a
+    single variable, hence exact.  Each step comes from
+    ``first_crossing_step``, one call per arc not in the triangulation.
+    Results are memoized by the arc's vertex pair, confined to this call.
     ``origin`` orients only the top step (recursive steps orient
     canonically); the result does not depend on it, which the test suite
     asserts.

@@ -18,34 +18,21 @@ No edge at either crosses the chord, so no even-position edge enters or
 leaves them; yet a vertex mid-path is entered by one edge and left by the
 next, and one of the two sits at an even position.
 
-``enumerate_t_paths`` walks a per-call table of the moves the rules allow
-from each search state, pruned to the moves from which b stays reachable, and
-hands out each path's packed weight as it finds it;
-``brute_force_t_path_table`` walks the edge-distinct trails from one source
-and filters with the six rules, serving as its independent oracle at small
-rank.  The trails from a source do not depend on the target, so one walk
-serves all of the source's targets; a trail is dropped once an even-position
-edge misses every target's chord (rule 5).  Each odd-length arrival at a
-target whose chord those edges all cross goes to the validator's rule core
-(``_broken_rule``) with that target's crossing table; the core names the
-first broken rule and formats nothing, so a rejected arrival costs no
-``TPath`` and no ``PathCheck``, and only an accepted one is built into a
-path.  ``brute_force_t_paths`` is that walk for a single target.  Both
-routes list paths in lexicographic order of their label sequences.  Each
-oriented chord gets one table of crossing positions (``crossing_keys``),
-kept on the triangulation, and the search, its validator calls and the
-oracle all read it; both walks step along one table per triangulation
-(``Triangulation._steps``).  Every path the pruned search emits is checked
-against all six rules by ``is_valid_t_path``, at a cost linear in its
-length, and a failure raises ``InvariantError``, under ``python -O`` as
-well.  Vertex and label ranges are checked only when the
-lengths mismatch or rule 1 or 2 fails (or the path is empty), since rule 2
-holding implies them (see ``is_valid_t_path``).
+``enumerate_t_paths`` walks a per-call graph of the moves the rules allow,
+pruned to the moves from which b stays reachable, and checks every path it
+emits against all six rules (``is_valid_t_path``), under ``python -O`` as
+well.  ``brute_force_t_path_table`` is its independent oracle at small rank:
+one walk over the edge-distinct trails from a source, each arrival at a
+target checked by the same ``is_valid_t_path``; ``brute_force_t_paths`` is
+that walk for a single target.  Both list paths in lexicographic order of
+their label sequences, read one crossing table per oriented chord
+(``crossing_keys``, kept on the triangulation) and step along one table per
+triangulation (``Triangulation._steps``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -114,17 +101,6 @@ def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, tuple
     return keys
 
 
-# The detail of each rule's failure, filled in with what ``_broken_rule`` names.
-_RULE_DETAILS = {
-    1: "path must run from the source vertex to the target",
-    2: "edge {} does not join {} and {}",
-    3: "repeated edge label",
-    4: "even length {}",
-    5: "even-position edge {} does not cross the chord",
-    6: "edge {} crosses out of order",
-}
-
-
 def is_valid_t_path(
     t: Triangulation,
     source: int,
@@ -143,8 +119,7 @@ def is_valid_t_path(
 
     The ranges are checked only when the lengths mismatch, rule 1 or 2 fails
     or there are no labels: rule 2 holding on a step puts its label in 1..2n+3
-    and its vertices on an edge.  The rules themselves are checked by
-    ``_broken_rule``, and the report is formatted here.
+    and its vertices on an edge.
     """
     if keys is None:
         keys = crossing_keys(t, source, target)
@@ -154,52 +129,33 @@ def is_valid_t_path(
         raise InputError(
             f"{len(labels)} labels need {len(labels) + 1} vertices, got {len(vertices)}"
         )
-    broken = _broken_rule(t, source, target, vertices, labels, keys)
-    if broken is None:
-        return _VALID
-    rule, named = broken
-    if rule <= 2 or not labels:
-        _require_ranges(t, candidate)
-    return PathCheck(False, rule, _RULE_DETAILS[rule].format(*named))
-
-
-def _broken_rule(
-    t: Triangulation,
-    source: int,
-    target: int,
-    vertices: Sequence[int],
-    labels: Sequence[int],
-    keys: dict[int, tuple[int, int]],
-) -> tuple[int, tuple] | None:
-    """The first of the six rules the path breaks, with what its detail names
-    (see ``_RULE_DETAILS``), or None when it keeps them all.
-
-    There must be one more vertex than labels; nothing is range-checked and
-    nothing is formatted.
-    """
     if vertices[0] != source or vertices[-1] != target:
-        return 1, ()
+        _require_ranges(t, candidate)
+        return PathCheck(False, 1, "path must run from the source vertex to the target")
     ends = t._ends
     for lab, a, b in zip(labels, vertices, vertices[1:]):
         e = ends.get(lab)
         if e is None or (e[0] != a or e[1] != b) and (e[0] != b or e[1] != a):
-            return 2, (lab, a, b)
+            _require_ranges(t, candidate)
+            return PathCheck(False, 2, f"edge {lab} does not join {a} and {b}")
     if len(set(labels)) != len(labels):
-        return 3, ()
+        return PathCheck(False, 3, "repeated edge label")
     if len(labels) % 2 == 0:
-        return 4, (len(labels),)
+        if not labels:
+            _require_ranges(t, candidate)
+        return PathCheck(False, 4, f"even length {len(labels)}")
     for lab in labels[1::2]:
         if lab not in keys:
-            return 5, (lab,)
+            return PathCheck(False, 5, f"even-position edge {lab} does not cross the chord")
     last = None
     for lab in labels:
         key = keys.get(lab)
         if key is None:
             continue
         if last is not None and key <= last:
-            return 6, (lab,)
+            return PathCheck(False, 6, f"edge {lab} crosses out of order")
         last = key
-    return None
+    return _VALID
 
 
 def _require_ranges(t: Triangulation, candidate: TPath) -> None:
@@ -222,10 +178,29 @@ def enumerate_t_paths(
     step onto the target, which ends the path, or an odd step and the even
     one after it, which must cross; a crossing edge must cross later than the
     last one.  Each state's moves are listed once per call, keeping only the
-    moves into states from which the target is still reachable.  That test
-    ignores edge distinctness, so it drops no path; the walk checks
-    distinctness itself.  The rank rises with every move, so the states form
-    an acyclic graph.
+    moves into states from which the target is still reachable.  The rank
+    rises with every move, so the states form an acyclic graph, and the walk
+    emits every path from the source state to the target.
+
+    No such path repeats an edge, so the walk keeps no record of the edges it
+    used.  Write a = source, b = target, and let p and q be the two
+    components of a crossing key (see ``crossing_position``).
+      * Each crossing edge has a higher rank than every crossing edge before
+        it, at odd and even positions alike, so no crossing edge repeats.
+      * Every even step crosses the chord, so a and b never appear
+        mid-path (see the module docstring): an edge at a can only come
+        first and an edge at b only last.
+      * Any other edge e = {x, y} crosses nothing, so it sits at an odd
+        position i, between crossing edges at i - 1 and i + 1, and x and y
+        lie on one side of the chord, say the counterclockwise one.  The
+        edges at i - 1 and i + 1 meet that side at x and at y, so their
+        values of p are the steps from a to x and to y, which differ.  The
+        keys of a triangulation's crossing edges rise componentwise along
+        the chord, so p never falls along a path, and it rises strictly from
+        i - 1 to i + 1.  Two uses of e at i < j would give
+        p(i - 1) < p(i + 1) <= p(j - 1) < p(j + 1), three distinct values
+        out of two.  On the clockwise side the same holds for q.
+    Rule 3 is still checked on every emitted path, as below.
 
     Every emitted path is checked against the six rules, from the same
     crossing table the search prunes with; a path that fails raises
@@ -239,22 +214,22 @@ def enumerate_t_paths(
     # A crossing edge's rank is the sum of its key: the keys of a triangulation's
     # crossing edges rise componentwise along the chord, so the sums rise strictly.
     rank_of = {lab: p + q for lab, (p, q) in keys.items()}
-    # (vertex, last rank) -> [(labels, their bits, vertices reached, weight
-    # change, the next state's moves or None at the target), ...]
+    # (vertex, last rank) -> [(labels, vertices reached, weight change, the
+    # next state's moves or None at the target), ...]
     memo: dict[tuple[int, int], list] = {}
 
     def moves(vertex: int, last: int) -> list:
         kept = memo[vertex, last] = []
-        for lab, bit, mid in steps[vertex]:
+        for lab, _, mid in steps[vertex]:
             rank = rank_of.get(lab)
             if rank is None:
                 rank = last
             elif rank <= last:
                 continue
             if mid == target:
-                kept.append(((lab,), bit, (mid,), units[lab], None))
+                kept.append(((lab,), (mid,), units[lab], None))
                 continue
-            for lab2, bit2, nxt in steps[mid]:
+            for lab2, _, nxt in steps[mid]:
                 rank2 = rank_of.get(lab2, 0)
                 if rank2 <= rank:
                     continue
@@ -262,17 +237,14 @@ def enumerate_t_paths(
                 if follow is None:
                     follow = moves(nxt, rank2)
                 if follow:
-                    delta = units[lab] - units[lab2]
-                    kept.append(((lab, lab2), bit | bit2, (mid, nxt), delta, follow))
+                    kept.append(((lab, lab2), (mid, nxt), units[lab] - units[lab2], follow))
         return kept
 
     out: list[TPath] = []
     found = [] if weights is None else weights
 
-    def walk(options: list, used: int, weight: int, vertices: tuple, labels: tuple) -> None:
-        for labs, bits, reached, delta, follow in options:
-            if used & bits:
-                continue
+    def walk(options: list, weight: int, vertices: tuple, labels: tuple) -> None:
+        for labs, reached, delta, follow in options:
             if follow is None:
                 path = TPath(vertices + reached, labels + labs)
                 check = is_valid_t_path(t, source, target, path, keys=keys)
@@ -283,9 +255,9 @@ def enumerate_t_paths(
                 out.append(path)
                 found.append(weight + delta)
             else:
-                walk(follow, used | bits, weight + delta, vertices + reached, labels + labs)
+                walk(follow, weight + delta, vertices + reached, labels + labs)
 
-    walk(moves(source, 0), 0, zero, (source,), ())
+    walk(moves(source, 0), zero, (source,), ())
     # Each closure calls itself, so it sits in a reference cycle that would keep
     # the memo, the paths and the weights alive until the next cycle collection.
     del moves, walk
@@ -304,9 +276,8 @@ def brute_force_t_path_table(
     the six rules, for each target at once.
 
     One walk from ``source`` serves every target: each odd-length arrival at
-    a target is checked against the six rules with that target's own
-    crossing table, by the same rule check ``is_valid_t_path`` runs, and
-    becomes a ``TPath`` only when it passes.  The walk carries a mask of the
+    a target becomes a ``TPath`` and is kept when ``is_valid_t_path`` passes
+    it with that target's own crossing table.  The walk carries a mask of the
     targets whose chord every even-position edge so far crosses, read from
     the same crossing tables; it extends no trail whose mask is empty and
     checks an arrival only when its target's bit is set.  Rule 5 is closed
@@ -348,8 +319,9 @@ def brute_force_t_path_table(
             labels.append(lab)
             vertices.append(nxt)
             if odd and live & bit_of.get(nxt, 0):
-                if _broken_rule(t, source, nxt, vertices, labels, keys[nxt]) is None:
-                    out[nxt].append(TPath(tuple(vertices), tuple(labels)))
+                path = TPath(tuple(vertices), tuple(labels))
+                if is_valid_t_path(t, source, nxt, path, keys=keys[nxt]).ok:
+                    out[nxt].append(path)
             extend(nxt, used | bit, not odd, kept)
             labels.pop()
             vertices.pop()

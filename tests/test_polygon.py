@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,13 @@ from ptolemy import (
     flip_graph,
     snake_triangulation,
 )
+from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_DIAGONALS
+
+
+def orient(p, q, r):
+    """Twice the signed area of the triangle p, q, r: positive when counterclockwise."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
 def test_arc_normalizes_and_rejects_loops():
@@ -65,9 +72,6 @@ class TestCrosses:
     def test_matches_segment_intersection(self, nv):
         # Vertex k at (k, k^2): convex position in counterclockwise order, so
         # two chords cross exactly when their segments properly intersect.
-        def orient(p, q, r):
-            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
         point = {k: (k, k * k) for k in range(1, nv + 1)}
         arcs = [Arc(u, v) for u in range(1, nv + 1) for v in range(u + 1, nv + 1)]
         for d1 in arcs:
@@ -274,6 +278,32 @@ class TestCrossingOrder:
                         for i in range(len(arcs)):
                             for j in range(i + 1, len(arcs)):
                                 assert crosses_before(arcs[i], arcs[j], chord, origin, nv)
+
+    def test_crossing_keys_rise_componentwise_along_the_segment(self):
+        # Vertex k at (k, k^2), as in TestCrosses.  Sorted by where each
+        # diagonal meets the segment source->target, the crossing keys rise in
+        # both components and never repeat; the pruned search's rank sum and
+        # its proof that no path repeats an edge rest on this.
+        cases = 0
+        for n in range(1, 6):
+            point = {k: (k, k * k) for k in range(1, n + 4)}
+            for t in all_triangulations(n):
+                for chord in all_polygon_diagonals(n):
+                    for source in chord.endpoints():
+                        a, b = point[source], point[chord.other_end(source)]
+                        keys = crossing_keys(t, source, chord.other_end(source))
+                        meets = {}
+                        for lab in keys:
+                            c, d = (point[v] for v in t.arc(lab).endpoints())
+                            # a and b lie on opposite sides of the line c-d
+                            side_a, side_b = orient(c, d, a), orient(c, d, b)
+                            meets[lab] = Fraction(side_a, side_a - side_b)
+                        assert len(set(meets.values())) == len(meets)
+                        ordered = [keys[lab] for lab in sorted(keys, key=meets.get)]
+                        for (p1, q1), (p2, q2) in zip(ordered, ordered[1:]):
+                            assert p1 <= p2 and q1 <= q2 and (p1, q1) != (p2, q2)
+                        cases += 1
+        assert cases == 6766
 
     def test_preconditions(self):
         with pytest.raises(InputError):

@@ -198,8 +198,7 @@ def validator_cases(max_rank):
 def test_validator_outcomes_are_pinned():
     """Every outcome (the ``PathCheck``, or the ``InputError`` and its
     message) on the candidates of ``validator_cases(4)``, hashed in order,
-    is what the validator gave before the rule checks moved into a core that
-    formats nothing."""
+    is pinned, so any reorganisation of the validator keeps every outcome."""
     digest = hashlib.sha256()
     kinds = Counter()
     for t, source, target, candidate, tables in validator_cases(4):
@@ -406,16 +405,16 @@ class TestBruteForce:
 
     def test_rule_core_sees_only_arrivals_that_keep_rule_5(self, monkeypatch):
         # The walk stops a trail once an even-position edge misses every
-        # target's chord, so no arrival the rule core sees breaks rule 5.
-        honest = ptolemy.tpaths._broken_rule
+        # target's chord, so no arrival the rule check sees breaks rule 5.
+        honest = ptolemy.tpaths.is_valid_t_path
         verdicts = Counter()
 
-        def counted(t, source, target, vertices, labels, keys):
-            broken = honest(t, source, target, vertices, labels, keys)
-            verdicts[t.n, None if broken is None else broken[0]] += 1
-            return broken
+        def counted(t, source, target, candidate, *, keys=None):
+            check = honest(t, source, target, candidate, keys=keys)
+            verdicts[t.n, check.violated] += 1
+            return check
 
-        monkeypatch.setattr(ptolemy.tpaths, "_broken_rule", counted)
+        monkeypatch.setattr(ptolemy.tpaths, "is_valid_t_path", counted)
         for n in range(1, 4):
             diagonals = all_polygon_diagonals(n)
             for t in all_triangulations(n):

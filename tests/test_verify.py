@@ -17,6 +17,7 @@ from ptolemy import (
     Arc,
     InputError,
     LaurentPolynomial,
+    PathCheck,
     TPath,
     Triangulation,
     all_polygon_diagonals,
@@ -31,7 +32,7 @@ _honest_expand = ptolemy.expansion.expand
 _honest_recursive = ptolemy.oracle.cluster_variable_recursive
 _honest_enumerate = ptolemy.tpaths.enumerate_t_paths
 _honest_brute_force = ptolemy.tpaths.brute_force_t_path_table
-_honest_rule_core = ptolemy.tpaths._broken_rule
+_honest_validator = ptolemy.tpaths.is_valid_t_path
 
 
 def skewed_expand(t, chord, origin=None, *, paths=None):
@@ -107,12 +108,12 @@ def dropping_brute_force(t, source, targets):
     return table
 
 
-def accepting_rule_core(t, source, target, vertices, labels, keys):
-    """Rule check that finds no broken rule on triangulations holding 2-5, so
-    the oracle keeps every odd arrival there."""
+def accepting_validator(t, source, target, candidate, *, keys=None):
+    """Rule check that passes every candidate on triangulations holding 2-5,
+    so the oracle keeps every odd arrival there."""
     if t.contains(_FAULTY):
-        return None
-    return _honest_rule_core(t, source, target, vertices, labels, keys)
+        return PathCheck(True)
+    return _honest_validator(t, source, target, candidate, keys=keys)
 
 
 _SEED = "in (Arc(u=1, v=5), Arc(u=2, v=4), Arc(u=2, v=5))"
@@ -186,8 +187,8 @@ FAULTS = {
         {"enumeration-vs-brute-force": ("fail", 131, f"1->5 {_SEED}")},
     ),
     "accept-every-walk": (
-        _honest_rule_core,
-        accepting_rule_core,
+        _honest_validator,
+        accepting_validator,
         {"enumeration-vs-brute-force": ("fail", 127, f"1->3 {_SEED}")},
     ),
 }
