@@ -43,11 +43,13 @@ x1^-1..xm^-1: two byte translations mark its fields of exponent 1 and -1, and
 ``itertools.compress`` picks the names.  Any other term is formatted by
 ``render_term``, the one formatter of a general exponent vector.
 
-Multiplying by a one-term ``k * x^m`` (``_shifted``) adds ``key(m) - zero``
-to each key, with no merging: a shift by a fixed vector is injective, so no
-two shifted terms meet, and a product of two nonzero coefficients is
-nonzero, so the result is already in normal form.  The exchange recursion
-and ``divide_by_variable`` multiply only this way.
+Multiplying by a one-term ``k * x^m`` adds ``key(m) - zero`` to each key,
+with no merging: a shift by a fixed vector is injective, so no two shifted
+terms meet, and a product of two nonzero coefficients is nonzero, so the
+result is already in normal form.  ``divide_by_variable`` multiplies only
+this way.  The exchange recursion shifts keys the same way, on plain key
+lists with a repeated key standing for a larger coefficient, checks each
+list with ``_check_keys`` and hands the last one to ``from_keys``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ def packed_layout(nvars: int) -> tuple[int, Mapping[int, int]]:
 def _spill_mask(nvars: int) -> int:
     """Bits no valid key sets: the guard bits, all bits above x_1, and the sign."""
     return ~int.from_bytes(bytes([MAX_EXPONENT + BIAS]) * nvars, "big")
+
+
+def _check_keys(keys: Iterable[int], nvars: int) -> None:
+    """Raise ``InputError`` when a key spills out of its fields (see the module docstring)."""
+    if reduce(or_, keys, 0) & _spill_mask(nvars):
+        raise InputError(
+            f"an exponent of the result leaves the range {MIN_EXPONENT}..{MAX_EXPONENT}"
+        )
 
 
 def _pack(exps: Iterable[int], nvars: int) -> int:
@@ -221,10 +231,7 @@ class LaurentPolynomial:
 
     def _in_range(self) -> "LaurentPolynomial":
         """Self, once no key spills out of its fields (see the module docstring)."""
-        if reduce(or_, self._terms, 0) & _spill_mask(self.nvars):
-            raise InputError(
-                f"an exponent of the result leaves the range {MIN_EXPONENT}..{MAX_EXPONENT}"
-            )
+        _check_keys(self._terms, self.nvars)
         return self
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
@@ -255,12 +262,6 @@ class LaurentPolynomial:
                     out.pop(key, None)
         result = LaurentPolynomial(self.nvars)
         result._terms = out
-        return result._in_range()
-
-    def _shifted(self, delta: int, k: int) -> "LaurentPolynomial":
-        """k * x^m * self, where delta = key(m) - zero; already in normal form."""
-        result = LaurentPolynomial(self.nvars)
-        result._terms = {key + delta: coeff * k for key, coeff in self._terms.items()}
         return result._in_range()
 
     def __eq__(self, other: object) -> bool:
@@ -309,7 +310,10 @@ class LaurentPolynomial:
         if not 1 <= index <= self.nvars:
             raise InputError(f"variable index {index} out of range 1..{self.nvars}")
         _, units = packed_layout(self.nvars)
-        return self._shifted(-units[index], 1)
+        unit = units[index]
+        result = LaurentPolynomial(self.nvars)
+        result._terms = {key - unit: coeff for key, coeff in self._terms.items()}
+        return result._in_range()
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPolynomial":
         """Set the given variables to 1: one mask sets their fields of every

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError
-from .laurent import LaurentPolynomial, TropicalMonomial, packed_layout
-from .polygon import Arc, Triangulation, first_crossing_step
+from .laurent import LaurentPolynomial, TropicalMonomial, _check_keys, packed_layout
+from .polygon import Arc, Triangulation, _fan_step
 
 
 @dataclass(frozen=True)
@@ -86,49 +86,79 @@ def cluster_variable_recursive(
     """Laurent polynomial of any arc, by induction on its crossing count.
 
     An arc of the triangulation is its own variable.  Otherwise the
-    quadrilateral at the first crossing from ``origin`` yields
+    quadrilateral at the first crossing from ``origin`` (default ``arc.u``)
+    yields
 
         x[arc] = (x[cw_side] * x[ccw_far] + x[ccw_side] * x[cw_far]) / x[pivot]
 
-    where both far arcs cross strictly fewer diagonals, so the recursion
-    terminates.  Each far arc's polynomial is multiplied by the one-term
-    x[side]/x[pivot] as one shift of its keys (``_shifted``), so each term
-    is shifted once and no ratio or product is built; the division is by a
-    single variable, hence exact.  Each step comes from
-    ``first_crossing_step``, one call per arc not in the triangulation.
-    Results are memoized by the arc's vertex pair, confined to this call.
-    ``origin`` orients only the top step (recursive steps orient
-    canonically); the result does not depend on it, which the test suite
-    asserts.
+    where both far arcs cross strictly fewer diagonals, so the induction
+    terminates.  Both far arcs end at the arc's other end, the target, so
+    every arc the call meets is (x, target) for some vertex x: at most n + 2
+    arcs, each stepped once from x, from the five ints of
+    ``polygon._fan_step``.  A first pass orders the steps far arcs first on
+    an explicit stack, one frame per arc, so the crossing count is not
+    bounded by the interpreter's recursion limit; an arc met again while
+    its frame is open means the steps loop, and raises ``InvariantError``.
+    A second pass builds each arc's terms as a list of packed keys, one
+    entry per unit of coefficient: the step only shifts and adds, so every
+    coefficient is a count.  The far arcs' lists, each multiplied by the
+    one-term x[side]/x[pivot] as one shift of every key, are concatenated
+    and range-checked once; the division is by a single variable, hence
+    exact.  An arc's list is dropped once every step that reads it has run,
+    and ``LaurentPolynomial.from_keys`` counts the last one.  Nothing
+    outlives the call, and apart from the chord itself the two origins of a
+    chord step disjoint arcs, so comparing them tests that the result does
+    not depend on ``origin``.
     """
-    nv = t.n_vertices
-    arc.validate(nv)
-    if origin is not None and not arc.is_incident(origin):
+    arc.validate(t.n_vertices)
+    if origin is None:
+        origin = arc.u
+    elif not arc.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {arc}")
+    target = arc.other_end(origin)
     nvars = t.n_labels
-    _, units = packed_layout(nvars)
+    zero, units = packed_layout(nvars)
     labels = t._label_by_pair
-    memo: dict[tuple[int, int], LaurentPolynomial] = {}
 
-    def resolve(current: Arc, anchor: int) -> LaurentPolynomial:
-        pair = (current.u, current.v)
-        cached = memo.get(pair)
-        if cached is not None:
-            return cached
-        label = labels.get(pair)
+    keys: dict[int, list[int]] = {}  # x -> terms of (x, target), once known
+    steps: dict[int, tuple[int, int, int, int, int]] = {}  # x -> its step, far arcs first
+    open_steps: dict[int, tuple[int, int, int, int, int]] = {}  # frames on the stack
+    uses: dict[int, int] = {}  # x -> steps reading (x, target)
+    stack = [origin]
+    while stack:
+        x = stack[-1]
+        step = open_steps.pop(x, None)
+        if step is not None:  # both far arcs are ordered before x now
+            steps[x] = step
+            stack.pop()
+            continue
+        if x in steps or x in keys:
+            stack.pop()
+            continue
+        label = labels.get((x, target) if x < target else (target, x))
         if label is not None:
-            poly = LaurentPolynomial.variable(label, nvars)
-        else:
-            step = first_crossing_step(t, current, anchor)
-            if step is None:
-                raise InvariantError(f"{current} is not in the triangulation yet crosses nothing")
-            pivot = units[step.pivot]
-            ccw = resolve(step.ccw_far, step.ccw_far.u)._shifted(units[step.cw_side] - pivot, 1)
-            cw = resolve(step.cw_far, step.cw_far.u)._shifted(units[step.ccw_side] - pivot, 1)
-            poly = ccw + cw
-        memo[pair] = poly
-        return poly
+            keys[x] = [zero + units[label]]
+            stack.pop()
+            continue
+        step = open_steps[x] = _fan_step(t, x, target)
+        for corner in step[:2]:
+            if corner in open_steps:
+                raise InvariantError(
+                    f"the exchange steps toward {target} return to {Arc(corner, target)} "
+                    "before it is resolved"
+                )
+            uses[corner] = uses.get(corner, 0) + 1
+            stack.append(corner)
 
-    poly = resolve(arc, origin if origin is not None else arc.u)
-    del resolve  # it calls itself; the cycle would keep the memo alive until collected
-    return poly
+    for x, (ccw_corner, cw_corner, pivot, ccw_side, cw_side) in steps.items():
+        shift = units[cw_side] - units[pivot]
+        terms = [key + shift for key in keys[ccw_corner]]
+        shift = units[ccw_side] - units[pivot]
+        terms += [key + shift for key in keys[cw_corner]]
+        _check_keys(terms, nvars)
+        keys[x] = terms
+        for corner in (ccw_corner, cw_corner):
+            uses[corner] -= 1
+            if not uses[corner]:
+                del keys[corner]
+    return LaurentPolynomial.from_keys(nvars, keys[origin])

@@ -423,9 +423,11 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
     ``origin`` (see ``CrossingStep``), in time linear in origin's degree: no
     crossing is tested and nothing is sorted.  Each result, None included, is
     kept on ``t`` under ``(chord.u, chord.v, origin)``, so every later call on
-    the same triangulation (the recursion's steps, the partition and bijection
-    checks) shares one step per arc and origin.  The memo holds geometry
-    only, lives exactly as long as ``t``, and is created on the first call.
+    the same triangulation (the partition and bijection checks) shares one
+    step per arc and origin.  The exchange recursion reads the same step
+    from ``_fan_step``, with neither this memo nor this validation.  The memo
+    holds geometry only, lives exactly as long as ``t``, and is created on
+    the first call.
     Calls that raise store nothing; the chord's vertex range is checked
     before anything else.
     """
@@ -443,36 +445,10 @@ def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingS
         raise InputError(f"{chord} is a boundary edge; only diagonals can be crossed")
     if not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
-    labels = t._label_by_pair
-    if (chord.u, chord.v) in labels:
+    if (chord.u, chord.v) in t._label_by_pair:
         return None
     target = chord.other_end(origin)
-    span = ccw_steps(origin, target, nv)
-    # The chord leaves origin between two consecutive edges of origin's fan:
-    # the neighbours nearest it on the counterclockwise and clockwise walks to
-    # target.  With no neighbour on one side the corner stays origin itself,
-    # and a check below refuses it.
-    ccw_corner = cw_corner = origin
-    ccw_step, cw_step = 0, nv
-    for x in t._neighbors[origin]:
-        s = ccw_steps(origin, x, nv)
-        if s < span:
-            if s > ccw_step:
-                ccw_step, ccw_corner = s, x
-        elif s < cw_step:
-            cw_step, cw_corner = s, x
-    # Consecutive neighbours of origin bound a triangle with it, whose third
-    # side is the first diagonal the chord crosses.
-    pivot = labels.get((min(ccw_corner, cw_corner), max(ccw_corner, cw_corner)))
-    if pivot is None:
-        raise InvariantError(
-            f"neighbours {ccw_corner} and {cw_corner} of {origin} "
-            f"around {origin}-{target} are not joined"
-        )
-    ccw_side = labels.get((min(origin, ccw_corner), max(origin, ccw_corner)))
-    cw_side = labels.get((min(origin, cw_corner), max(origin, cw_corner)))
-    if ccw_side is None or cw_side is None:
-        raise InvariantError(f"triangle at {origin} before pivot {t.edges[pivot - 1]} lacks a side")
+    ccw_corner, cw_corner, pivot, ccw_side, cw_side = _fan_step(t, origin, target)
     return CrossingStep(
         origin=origin,
         target=target,
@@ -484,6 +460,46 @@ def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingS
         ccw_far=Arc(ccw_corner, target),
         cw_far=Arc(cw_corner, target),
     )
+
+
+def _fan_step(t: Triangulation, origin: int, target: int) -> tuple[int, int, int, int, int]:
+    """(ccw_corner, cw_corner, pivot, ccw_side, cw_side) of the chord origin-target.
+
+    The fields are those of ``CrossingStep``.  Nothing is validated: the
+    vertices must be distinct vertices of ``t`` and the chord not an arc of
+    ``t``, else the result means nothing.  A fan that has no such triangle
+    raises ``InvariantError``.
+    """
+    nv = t.n_vertices
+    labels = t._label_by_pair
+    span = (target - origin) % nv  # ccw_steps, inline here and below: a hot loop
+    # The chord leaves origin between two consecutive edges of origin's fan:
+    # the neighbours nearest it on the counterclockwise and clockwise walks to
+    # target.  With no neighbour on one side the corner stays origin itself,
+    # and a check below refuses it.
+    ccw_corner = cw_corner = origin
+    ccw_step, cw_step = 0, nv
+    for x in t._neighbors[origin]:
+        s = (x - origin) % nv
+        if s < span:
+            if s > ccw_step:
+                ccw_step, ccw_corner = s, x
+        elif s < cw_step:
+            cw_step, cw_corner = s, x
+    # Consecutive neighbours of origin bound a triangle with it, whose third
+    # side is the first diagonal the chord crosses.
+    low, high = (ccw_corner, cw_corner) if ccw_corner < cw_corner else (cw_corner, ccw_corner)
+    pivot = labels.get((low, high))
+    if pivot is None:
+        raise InvariantError(
+            f"neighbours {ccw_corner} and {cw_corner} of {origin} "
+            f"around {origin}-{target} are not joined"
+        )
+    ccw_side = labels.get((origin, ccw_corner) if origin < ccw_corner else (ccw_corner, origin))
+    cw_side = labels.get((origin, cw_corner) if origin < cw_corner else (cw_corner, origin))
+    if ccw_side is None or cw_side is None:
+        raise InvariantError(f"triangle at {origin} before pivot {t.edges[pivot - 1]} lacks a side")
+    return ccw_corner, cw_corner, pivot, ccw_side, cw_side
 
 
 def all_polygon_diagonals(n: int) -> list[Arc]:

@@ -12,12 +12,13 @@ table of its own, filled one source vertex at a time by a single brute-force
 walk to all of that vertex's targets (fixed for the sweep), and only while
 its row is running, so a skipped or failed row walks nothing.  The crossing
 steps are memoized on each triangulation (``first_crossing_step``), so the
-recursion and the partition and bijection rows share one step per arc and
-origin.  The exchange recursion keeps its polynomial memo per call, one call
-per orientation, so the agreement row still tests that the expansion does
-not depend on the orientation.  Each row counts its instances (both
-orientations where orientation matters) and stops at its first failure, as
-if it ran alone.  The quick level covers the expansion/recursion agreement
+partition and bijection rows share one step per oriented chord.  The
+exchange recursion reads its steps from the fan directly and keeps its
+polynomials per call, one call per orientation; apart from the chord itself
+the two orientations step disjoint arcs, so the agreement row still tests
+that the expansion does not depend on the orientation.  Each row counts its
+instances (both orientations where orientation matters) and stops at its
+first failure, as if it ran alone.  The quick level covers the expansion/recursion agreement
 and its structural consequences; the full level adds the path-set oracle and
 the partition and bijection checks at the ranks where their guards allow.
 """

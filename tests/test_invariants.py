@@ -3,6 +3,7 @@
 import pytest
 
 import ptolemy.oracle
+import ptolemy.polygon
 from ptolemy import Arc, InvariantError, Triangulation, build_triangulation
 from ptolemy.expansion import _paths_between
 from ptolemy.oracle import cluster_variable_recursive, exchange_matrix
@@ -15,9 +16,11 @@ def no_label(self, arc):
     return None
 
 
-def no_step(t, chord, origin):
-    """Stand-in crossing lookup that finds nothing."""
-    return None
+def looping_step(t, origin, target):
+    """Stand-in fan step that sends the clockwise corner of every step but
+    vertex 3's back to 3: stepping 3-7 toward 7 comes back to 3-7 via 2-7."""
+    step = ptolemy.polygon._fan_step(t, origin, target)
+    return step if origin == 3 else (step[0], 3, *step[2:])
 
 
 def stray_fans(self):
@@ -65,10 +68,10 @@ FAULTS = {
     ),
     "recursion-step": (
         ptolemy.oracle,
-        "first_crossing_step",
-        no_step,
+        "_fan_step",
+        looping_step,
         lambda t: cluster_variable_recursive(t, Arc(3, 7)),
-        "3-7 is not in the triangulation yet crosses nothing",
+        "exchange steps toward 7 return to 3-7 before it is resolved",
     ),
     "boundary-path-label": (
         Triangulation,

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import ptolemy.oracle
+import ptolemy.polygon
 from ptolemy import (
     Arc,
     InputError,
@@ -18,7 +20,13 @@ from ptolemy import (
     initial_coefficients,
     snake_triangulation,
 )
-from conftest import OCTAGON_TERMS, ZIGZAG3_COEFFICIENTS, ZIGZAG3_MATRIX, poly_from_sparse
+from conftest import (
+    OCTAGON_TERMS,
+    ZIGZAG3_COEFFICIENTS,
+    ZIGZAG3_MATRIX,
+    poly_from_sparse,
+    run_optimized,
+)
 
 
 class TestExchangeMatrix:
@@ -156,6 +164,44 @@ class TestRecursion:
         finally:
             gc.enable()
         assert len(poly) > 1
+
+    def test_steps_only_arcs_into_the_target(self, monkeypatch):
+        honest = ptolemy.polygon._fan_step
+        stepped = []
+
+        def recorded(t, origin, target):
+            stepped.append((origin, target))
+            return honest(t, origin, target)
+
+        monkeypatch.setattr(ptolemy.oracle, "_fan_step", recorded)
+        for n in range(1, 6):
+            for t in all_triangulations(n):
+                for chord in all_polygon_diagonals(n):
+                    arcs = {}
+                    for origin in chord.endpoints():
+                        stepped.clear()
+                        cluster_variable_recursive(t, chord, origin)
+                        target = chord.other_end(origin)
+                        assert {end for _, end in stepped} <= {target}
+                        sources = [x for x, _ in stepped]
+                        assert len(set(sources)) == len(sources) <= n + 2
+                        arcs[origin] = {Arc(x, target) for x in sources}
+                    # Only the chord itself is stepped from both ends.
+                    assert arcs[chord.u] & arcs[chord.v] <= {chord}
+                    assert (chord in arcs[chord.u]) == (not t.contains(chord))
+
+    def test_depth_is_not_bounded_by_the_interpreter(self):
+        # The fan at vertex 1 of the 203-gon: chord 2-203 crosses all 200
+        # diagonals, a chain of 200 steps, past a recursion limit of 100.
+        out = run_optimized(
+            "from ptolemy import Arc, build_triangulation, cluster_variable_recursive\n"
+            "sys.setrecursionlimit(100)\n"
+            "t = build_triangulation(200, [(1, k) for k in range(3, 203)])\n"
+            "chord = Arc(2, 203)\n"
+            "u, v = (cluster_variable_recursive(t, chord, o) for o in chord.endpoints())\n"
+            "print(len(u), set(u.coefficients()) == {1}, u == v)\n"
+        )
+        assert out.split() == ["201", "True", "True"]
 
     def test_agreement_at_random_points(self, octagon):
         rng = random.Random(41)
