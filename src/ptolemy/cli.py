@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from typing import NoReturn
 
 from .errors import InputError, ResourceLimitError
 from .expansion import expand, expand_trivial_coefficients
@@ -268,10 +269,21 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, ``error: <message>``, and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; it keeps no parsed input."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process; it keeps no parsed input.
+
+    The subcommand parsers are ``_Parser``s too: argparse builds them with the
+    class of their parent.
+    """
+    parser = _Parser(
         prog="ptolemy",
         description=(
             "Exact Laurent expansions of polygon cluster variables: path sums, "

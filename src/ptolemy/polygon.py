@@ -282,11 +282,6 @@ class Triangulation:
         return {(arc.u, arc.v): i + 1 for i, arc in enumerate(self.edges)}
 
     @cached_property
-    def _crossing_steps(self) -> dict[tuple[int, int, int], CrossingStep | None]:
-        """``first_crossing_step`` results by (u, v, origin); see there."""
-        return {}
-
-    @cached_property
     def _crossing_keys(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
         """``tpaths.crossing_keys`` tables by (source, target); see there."""
         return {}
@@ -298,14 +293,6 @@ class Triangulation:
         return (arc.u, arc.v) in self._label_by_pair
 
     @cached_property
-    def _incidence(self) -> dict[int, tuple[int, ...]]:
-        by_vertex: dict[int, list[int]] = {v: [] for v in range(1, self.n_vertices + 1)}
-        for label, arc in enumerate(self.edges, start=1):
-            by_vertex[arc.u].append(label)
-            by_vertex[arc.v].append(label)
-        return {v: tuple(sorted(labels)) for v, labels in by_vertex.items()}
-
-    @cached_property
     def _ends(self) -> dict[int, tuple[int, int]]:
         """Label -> its arc's (u, v); a label outside 1..2n+3 is absent."""
         return {i + 1: (arc.u, arc.v) for i, arc in enumerate(self.edges)}
@@ -313,15 +300,17 @@ class Triangulation:
     @cached_property
     def _steps(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
         """Vertex -> (label, 1 << label, far end) per incident edge, ascending label."""
-        edges = self.edges
-        return {
-            v: tuple((lab, 1 << lab, edges[lab - 1].other_end(v)) for lab in labels)
-            for v, labels in self._incidence.items()
+        steps: dict[int, list[tuple[int, int, int]]] = {
+            v: [] for v in range(1, self.n_vertices + 1)
         }
+        for label, arc in enumerate(self.edges, start=1):
+            steps[arc.u].append((label, 1 << label, arc.v))
+            steps[arc.v].append((label, 1 << label, arc.u))
+        return {v: tuple(fan) for v, fan in steps.items()}
 
     def incident_labels(self, vertex: int) -> tuple[int, ...]:
         _require_vertex(vertex, self.n_vertices)
-        return self._incidence[vertex]
+        return tuple(step[0] for step in self._steps[vertex])
 
     @cached_property
     def _neighbors(self) -> dict[int, set[int]]:
@@ -421,24 +410,10 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
     Returns None when nothing crosses, i.e. when the chord belongs to the
     triangulation.  The step is read off the fan of triangulation edges at
     ``origin`` (see ``CrossingStep``), in time linear in origin's degree: no
-    crossing is tested and nothing is sorted.  Each result, None included, is
-    kept on ``t`` under ``(chord.u, chord.v, origin)``, so every later call on
-    the same triangulation (the partition and bijection checks) shares one
-    step per arc and origin.  The exchange recursion reads the same step
-    from ``_fan_step``, with neither this memo nor this validation.  The memo
-    holds geometry only, lives exactly as long as ``t``, and is created on
-    the first call.
-    Calls that raise store nothing; the chord's vertex range is checked
-    before anything else.
+    crossing is tested and nothing is sorted.  The exchange recursion reads
+    the same step from ``_fan_step``, without this validation.  The chord's
+    vertex range is checked before anything else.
     """
-    memo = t._crossing_steps
-    key = (chord.u, chord.v, origin)
-    if key not in memo:
-        memo[key] = _first_crossing_step(t, chord, origin)
-    return memo[key]
-
-
-def _first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingStep | None:
     nv = t.n_vertices
     chord.validate(nv)
     if chord.is_boundary(nv):

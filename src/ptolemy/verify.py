@@ -10,13 +10,13 @@ orientations, and the unit-coefficient and denominator rows read it as it
 is (``denominator_vector``'s ``poly=``).  The path-set oracle gets a
 table of its own, filled one source vertex at a time by a single brute-force
 walk to all of that vertex's targets (fixed for the sweep), and only while
-its row is running, so a skipped or failed row walks nothing.  The crossing
-steps are memoized on each triangulation (``first_crossing_step``), so the
-partition and bijection rows share one step per oriented chord.  The
-exchange recursion reads its steps from the fan directly and keeps its
-polynomials per call, one call per orientation; apart from the chord itself
-the two orientations step disjoint arcs, so the agreement row still tests
-that the expansion does not depend on the orientation.  Each row counts its
+its row is running, so a skipped or failed row walks nothing.  The partition
+and bijection rows read each crossing step off the fan at its origin
+(``first_crossing_step``), and nothing keeps it.  The exchange recursion
+reads its steps from the fan directly and keeps its polynomials per call,
+one call per orientation; apart from the chord itself the two orientations
+step disjoint arcs, so the agreement row still tests that the expansion does
+not depend on the orientation.  Each row counts its
 instances (both orientations where orientation matters) and stops at its
 first failure, as if it ran alone.  The quick level covers the expansion/recursion agreement
 and its structural consequences; the full level adds the path-set oracle and
@@ -83,7 +83,7 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         for origin in range(1, n + 4)
     }
     while pending:
-        # Each triangulation, and the crossing steps memoized on it, goes after its pass.
+        # Each triangulation, and the crossing tables kept on it, goes after its pass.
         t = pending.popleft()
         # Formatted once per triangulation; the details below show it only on a failure.
         key = str(t.diagonal_key())

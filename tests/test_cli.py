@@ -359,6 +359,32 @@ class TestInputErrors:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["expand", "--n", "abc", "--diagonals", "1-3", "--target", "2-4"],
+                "argument --n: invalid int value: 'abc'",
+            ),
+            (
+                ["verify", "--n", "2", "--level", "bogus"],
+                "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')",
+            ),
+            (
+                ["no-such-command"],
+                "argument command: invalid choice: 'no-such-command' (choose from "
+                "'expand', 'paths', 'matrix', 'verify', 'triangulations', 'graph')",
+            ),
+            (["verify"], "the following arguments are required: --n"),
+        ],
+        ids=["bad-int", "bad-level", "unknown-command", "missing-rank"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
     # The parser is built once per process; neither a rejected argument nor an

@@ -189,6 +189,20 @@ class TestSnake:
             snake_triangulation(0)
 
 
+class TestIncidentLabels:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ascending_labels_of_the_edges_at_each_vertex(self, n):
+        for t in all_triangulations(n):
+            for v in range(1, n + 4):
+                expected = tuple(
+                    lab for lab in range(1, t.n_labels + 1) if t.arc(lab).is_incident(v)
+                )
+                assert t.incident_labels(v) == expected
+            for v in (0, n + 4):
+                with pytest.raises(InputError, match=rf"^vertex {v} out of range 1\.\.{n + 3}$"):
+                    t.incident_labels(v)
+
+
 class TestQuadrilateral:
     def test_square(self, square):
         quad = square.quadrilateral(1)
@@ -345,7 +359,7 @@ class TestCrossingLabelsOrdered:
             octagon.crossing_labels_from(Arc(1, 10), 1)
 
 
-def sorted_first_crossing_step(t, chord, origin):
+def crossing_step_by_definition(t, chord, origin):
     """The step by its definition: the pivot is the first diagonal in the
     crossing order from origin, the corners are its endpoints on the
     counterclockwise and clockwise walks to target, and the sides are the
@@ -374,7 +388,7 @@ def sorted_first_crossing_step(t, chord, origin):
 def assert_steps_match_definition(t):
     for chord in all_polygon_diagonals(t.n):
         for origin in chord.endpoints():
-            assert first_crossing_step(t, chord, origin) == sorted_first_crossing_step(
+            assert first_crossing_step(t, chord, origin) == crossing_step_by_definition(
                 t, chord, origin
             ), (t.diagonal_arcs(), chord, origin)
 
@@ -426,7 +440,6 @@ class TestFirstCrossingStep:
     def test_rejections_store_nothing(self, octagon, chord, origin, message):
         with pytest.raises(InputError, match=message):
             first_crossing_step(octagon, chord, origin)
-        assert octagon._crossing_steps == {}
 
     def test_partition_check_reports_the_vertex_range(self, octagon):
         with pytest.raises(InputError, match=r"^vertex 10 out of range 1\.\.8$"):

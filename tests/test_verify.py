@@ -19,12 +19,10 @@ from ptolemy import (
     LaurentPolynomial,
     PathCheck,
     TPath,
-    Triangulation,
     all_polygon_diagonals,
     all_triangulations,
     check_bijections_fg,
     check_partitions,
-    first_crossing_step,
 )
 from ptolemy.verify import CheckRow, all_pass, render_report, run_checks
 from conftest import run_optimized
@@ -382,21 +380,8 @@ def test_sweep_builds_one_crossing_table_per_oriented_chord():
     assert len(crossed) == 3 * len(built)
 
 
-def test_sweep_computes_each_crossing_step_once_per_origin(monkeypatch):
-    calls = []
-    honest = ptolemy.polygon._first_crossing_step
-
-    def counted(t, chord, origin):
-        calls.append((t.diagonal_key(), chord, origin))
-        return honest(t, chord, origin)
-
-    monkeypatch.setattr(ptolemy.polygon, "_first_crossing_step", counted)
-    assert all_pass(run_checks(3, "full"))
-    assert calls
-    assert len(set(calls)) == len(calls)
-
-
-def test_memoized_crossing_steps_match_a_fresh_triangulation():
+def test_partition_and_bijection_checks_pass_without_a_path_table():
+    # The sweep hands both checks its path table; here each enumerates its own.
     diagonals = all_polygon_diagonals(4)
     for t in all_triangulations(4):
         for chord in diagonals:
@@ -406,10 +391,3 @@ def test_memoized_crossing_steps_match_a_fresh_triangulation():
                 target = chord.other_end(origin)
                 assert check_partitions(t, origin, target).ok
                 assert check_bijections_fg(t, origin, target).ok
-        assert t._crossing_steps
-        for chord in diagonals:
-            for origin in chord.endpoints():
-                step = first_crossing_step(t, chord, origin)
-                assert first_crossing_step(t, chord, origin) is step
-                fresh = Triangulation(t.n, t.edges)
-                assert step == first_crossing_step(fresh, chord, origin)
