@@ -96,11 +96,13 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     data: dict = {}
     if getattr(args, "spec_file", None):
         try:
-            with open(args.spec_file) as fh:
+            with open(args.spec_file, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+            # past Python's digit limit; RecursionError, nesting too deep.
             raise InputError(f"spec file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError("spec file must hold a JSON object")

@@ -17,39 +17,41 @@ Exponents therefore run from ``MIN_EXPONENT`` (-64) to ``MAX_EXPONENT`` (63)
 and fields from 0 to 127; the top bit of every field is a guard bit that no
 stored key sets.  The fields are unsigned and x_1 leads, so integer order of
 keys is lexicographic order of exponent vectors and sorting keys sorts terms.
-A constructor given an exponent outside the range raises ``InputError``; there
-is no second representation to fall back to.  Internal constructions call the
-constructor with no terms and fill the key dictionary themselves; for empty
-``terms`` it returns before testing for a ``Mapping``, an ABC check that runs
-in Python.
+An exponent outside the range raises ``InputError``; there is no second
+representation to fall back to.
+
+Terms merge in one place: ``_normal_form`` sums the coefficients of equal keys
+and stores no zero.  The public constructor, ``+``, ``*`` and
+``substitute_ones`` build their key dictionaries through it; ``from_keys``
+counts its keys itself, since coefficients of 1 never cancel.  Every result
+of an operation is built by one internal constructor, ``_of``, which
+range-checks the keys with ``_check_keys`` and then wraps them.
 
 Arithmetic never decodes a key.  The product of two terms has key
 ``k1 + k2 - zero``, where ``zero`` is the key of x^0, and multiplying by x_i^d
 adds d times the unit of field i.  Every field of such a sum lies in -64..190,
 a window narrower than a field, so a result field outside 0..127 sets its own
 guard bit, or borrows from the field above and shows as 192..255, or makes the
-whole key negative.  Products and ``divide_by_variable`` OR their keys together
-once and raise ``InputError`` when that sets any bit outside the value fields.
-Distinct exponent vectors in the window keep distinct keys, so a spilled key
-never merges with the key of another vector.  Keys are decoded only at the
-public boundaries: ``terms`` (and so ``to_term_list``) and ``evaluate``
-unpack whole keys, ``substitute_ones`` masks fields, ``min_exponent``
-reads one field with a shift and a mask, and ``_min_exponents`` (for the
-denominator vector) takes each field's minimum over the keys' bytes, unsorted.
-``render`` reads each key's bytes too.
+whole key negative.  ``_check_keys`` ORs the keys together once and raises
+``InputError`` when that sets any bit outside the value fields.  Distinct
+exponent vectors in the window keep distinct keys, so a spilled key never
+merges with the key of another vector.  Keys are decoded only at the public
+boundaries: ``terms`` (and so ``to_term_list``) and ``evaluate`` unpack whole
+keys, ``substitute_ones`` masks fields, ``min_exponent`` reads one field with
+a shift and a mask, and ``_min_exponents`` (for the denominator vector) takes
+each field's minimum over the keys' bytes, unsorted.  ``render`` reads each
+key's bytes too.
 Cluster variables only have exponents -1, 0 and 1, and a term whose fields
 all hold one of those three is a selection from the names x1..xm followed by
 x1^-1..xm^-1: two byte translations mark its fields of exponent 1 and -1, and
 ``itertools.compress`` picks the names.  Any other term is formatted by
 ``render_term``, the one formatter of a general exponent vector.
 
-Multiplying by a one-term ``k * x^m`` adds ``key(m) - zero`` to each key,
-with no merging: a shift by a fixed vector is injective, so no two shifted
-terms meet, and a product of two nonzero coefficients is nonzero, so the
-result is already in normal form.  ``divide_by_variable`` multiplies only
-this way.  The exchange recursion shifts keys the same way, on plain key
-lists with a repeated key standing for a larger coefficient, checks each
-list with ``_check_keys`` and hands the last one to ``from_keys``.
+A shift of every key by a fixed vector is injective, so it needs no merge:
+``divide_by_variable`` shifts its keys by one unit.  The exchange recursion
+shifts keys the same way, on plain key lists with a repeated key standing for
+a larger coefficient, checks each list with ``_check_keys`` and hands the last
+one to ``from_keys``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from struct import Struct
 from types import MappingProxyType
@@ -101,6 +103,18 @@ def _check_keys(keys: Iterable[int], nvars: int) -> None:
         raise InputError(
             f"an exponent of the result leaves the range {MIN_EXPONENT}..{MAX_EXPONENT}"
         )
+
+
+def _normal_form(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Key -> summed coefficient of the ``(packed key, coefficient)`` pairs, with no zero."""
+    out: dict[int, int] = {}
+    for key, coeff in pairs:
+        acc = out.get(key, 0) + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _pack(exps: Iterable[int], nvars: int) -> int:
@@ -180,17 +194,19 @@ class LaurentPolynomial:
         if not terms:
             self._terms = {}
             return
-        data: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
-            key = _pack(exps, nvars)
-            if coeff:
-                data[key] = data.get(key, 0) + coeff
-                if not data[key]:
-                    del data[key]
-        self._terms = data
+        self._terms = _normal_form((_pack(exps, nvars), coeff) for exps, coeff in items)
 
     # --- constructors -----------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[int, int]) -> "LaurentPolynomial":
+        """The polynomial holding ``terms`` (packed key -> nonzero coefficient),
+        once no key spills out of its fields (see the module docstring)."""
+        _check_keys(terms, nvars)
+        result = cls(nvars)
+        result._terms = terms
+        return result
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPolynomial":
@@ -204,10 +220,8 @@ class LaurentPolynomial:
     def variable(cls, index: int, nvars: int) -> "LaurentPolynomial":
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
-        result = cls(nvars)
         zero, units = packed_layout(nvars)
-        result._terms = {zero + units[index]: 1}
-        return result
+        return cls._of(nvars, {zero + units[index]: 1})
 
     @classmethod
     def from_monomials(cls, nvars: int, monomials: Iterable[Monomial]) -> "LaurentPolynomial":
@@ -217,11 +231,10 @@ class LaurentPolynomial:
     def from_keys(cls, nvars: int, keys: Iterable[int]) -> "LaurentPolynomial":
         """Sum of the monomials with these packed keys (see ``packed_layout``), each
         with coefficient 1; a repeated key adds up."""
-        result = cls(nvars)
-        out = result._terms
+        out: dict[int, int] = {}
         for key in keys:
             out[key] = out.get(key, 0) + 1
-        return result._in_range()
+        return cls._of(nvars, out)
 
     # --- ring operations ---------------------------------------------------
 
@@ -229,40 +242,20 @@ class LaurentPolynomial:
         if self.nvars != other.nvars:
             raise InputError(f"rank mismatch: {self.nvars} vs {other.nvars}")
 
-    def _in_range(self) -> "LaurentPolynomial":
-        """Self, once no key spills out of its fields (see the module docstring)."""
-        _check_keys(self._terms, self.nvars)
-        return self
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
-        out = self._terms | other._terms
-        for key in self._terms.keys() & other._terms.keys():
-            acc = self._terms[key] + other._terms[key]
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        result = LaurentPolynomial(self.nvars)
-        result._terms = out
-        return result
+        pairs = chain(self._terms.items(), other._terms.items())
+        return self._of(self.nvars, _normal_form(pairs))
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_rank(other)
         zero, _ = packed_layout(self.nvars)
-        out: dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            base = k1 - zero
-            for k2, c2 in other._terms.items():
-                key = base + k2
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        result = LaurentPolynomial(self.nvars)
-        result._terms = out
-        return result._in_range()
+        pairs = (
+            (k1 + k2 - zero, c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+        )
+        return self._of(self.nvars, _normal_form(pairs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -311,9 +304,7 @@ class LaurentPolynomial:
             raise InputError(f"variable index {index} out of range 1..{self.nvars}")
         _, units = packed_layout(self.nvars)
         unit = units[index]
-        result = LaurentPolynomial(self.nvars)
-        result._terms = {key - unit: coeff for key, coeff in self._terms.items()}
-        return result._in_range()
+        return self._of(self.nvars, {key - unit: c for key, c in self._terms.items()})
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPolynomial":
         """Set the given variables to 1: one mask sets their fields of every
@@ -327,16 +318,8 @@ class LaurentPolynomial:
         zero, units = packed_layout(nvars)
         mask = _FIELD_MASK * sum(units[i + 1] for i in range(nvars) if i in idx)
         keep, fill = ~mask, zero & mask
-        result = LaurentPolynomial(nvars)
-        out = result._terms
-        for key, coeff in self._terms.items():
-            key = key & keep | fill
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return result
+        pairs = ((key & keep | fill, coeff) for key, coeff in self._terms.items())
+        return self._of(nvars, _normal_form(pairs))
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a point with all coordinates nonzero."""

@@ -282,7 +282,7 @@ class Triangulation:
         return {(arc.u, arc.v): i + 1 for i, arc in enumerate(self.edges)}
 
     @cached_property
-    def _crossing_keys(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
+    def _crossing_keys(self) -> dict[tuple[int, int], dict[int, int]]:
         """``tpaths.crossing_keys`` tables by (source, target); see there."""
         return {}
 

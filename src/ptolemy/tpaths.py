@@ -80,10 +80,13 @@ def _require_endpoints(t: Triangulation, source: int, target: int) -> Arc:
     return chord
 
 
-def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, tuple[int, int]]:
-    """Crossing position, seen from source, of each diagonal crossing source-target.
+def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, int]:
+    """Crossing rank, seen from source, of each diagonal crossing source-target.
 
     Keyed by label; edges absent from the table do not cross the chord.  The
+    rank is p + q for the diagonal's ``crossing_position`` (p, q).  Crossing
+    diagonals of a triangulation never cross each other, so their positions
+    rise componentwise along the chord and their ranks rise strictly.  The
     endpoints are validated on every call; each oriented chord's table is then
     built once and kept on ``t`` for as long as it lives, shared by every
     caller, so it must not be changed.
@@ -94,7 +97,7 @@ def crossing_keys(t: Triangulation, source: int, target: int) -> dict[int, tuple
     if keys is None:
         nv = t.n_vertices
         keys = memo[source, target] = {
-            lab: crossing_position(arc, source, target, nv)
+            lab: sum(crossing_position(arc, source, target, nv))
             for lab, arc in enumerate(t.diagonal_arcs(), start=1)
             if crosses(arc, chord, nv)
         }
@@ -107,7 +110,7 @@ def is_valid_t_path(
     target: int,
     candidate: TPath,
     *,
-    keys: dict[int, tuple[int, int]] | None = None,
+    keys: dict[int, int] | None = None,
 ) -> PathCheck:
     """Check the six rules, reporting the first one violated.
 
@@ -147,14 +150,14 @@ def is_valid_t_path(
     for lab in labels[1::2]:
         if lab not in keys:
             return PathCheck(False, 5, f"even-position edge {lab} does not cross the chord")
-    last = None
+    last = 0
     for lab in labels:
-        key = keys.get(lab)
-        if key is None:
+        rank = keys.get(lab)
+        if rank is None:
             continue
-        if last is not None and key <= last:
+        if rank <= last:
             return PathCheck(False, 6, f"edge {lab} crosses out of order")
-        last = key
+        last = rank
     return _VALID
 
 
@@ -174,17 +177,17 @@ def enumerate_t_paths(
     """All admissible paths from source to target, pruned search.
 
     The search moves from one odd position to the next.  Its state is the
-    current vertex and the rank of the last crossing edge.  A move is an odd
-    step onto the target, which ends the path, or an odd step and the even
-    one after it, which must cross; a crossing edge must cross later than the
-    last one.  Each state's moves are listed once per call, keeping only the
+    current vertex and the rank (see ``crossing_keys``) of the last crossing
+    edge.  A move is an odd step onto the target, which ends the path, or an
+    odd step and the even one after it, which must cross; a crossing edge must
+    cross later than the last one.  Each state's moves are listed once per call, keeping only the
     moves into states from which the target is still reachable.  The rank
     rises with every move, so the states form an acyclic graph, and the walk
     emits every path from the source state to the target.
 
     No such path repeats an edge, so the walk keeps no record of the edges it
     used.  Write a = source, b = target, and let p and q be the two
-    components of a crossing key (see ``crossing_position``).
+    components of a crossing position (see ``crossing_position``).
       * Each crossing edge has a higher rank than every crossing edge before
         it, at odd and even positions alike, so no crossing edge repeats.
       * Every even step crosses the chord, so a and b never appear
@@ -195,7 +198,7 @@ def enumerate_t_paths(
         lie on one side of the chord, say the counterclockwise one.  The
         edges at i - 1 and i + 1 meet that side at x and at y, so their
         values of p are the steps from a to x and to y, which differ.  The
-        keys of a triangulation's crossing edges rise componentwise along
+        positions of a triangulation's crossing edges rise componentwise along
         the chord, so p never falls along a path, and it rises strictly from
         i - 1 to i + 1.  Two uses of e at i < j would give
         p(i - 1) < p(i + 1) <= p(j - 1) < p(j + 1), three distinct values
@@ -211,9 +214,6 @@ def enumerate_t_paths(
     keys = crossing_keys(t, source, target)
     zero, units = packed_layout(t.n_labels)
     steps = t._steps
-    # A crossing edge's rank is the sum of its key: the keys of a triangulation's
-    # crossing edges rise componentwise along the chord, so the sums rise strictly.
-    rank_of = {lab: p + q for lab, (p, q) in keys.items()}
     # (vertex, last rank) -> [(labels, vertices reached, weight change, the
     # next state's moves or None at the target), ...]
     memo: dict[tuple[int, int], list] = {}
@@ -221,7 +221,7 @@ def enumerate_t_paths(
     def moves(vertex: int, last: int) -> list:
         kept = memo[vertex, last] = []
         for lab, _, mid in steps[vertex]:
-            rank = rank_of.get(lab)
+            rank = keys.get(lab)
             if rank is None:
                 rank = last
             elif rank <= last:
@@ -230,7 +230,7 @@ def enumerate_t_paths(
                 kept.append(((lab,), (mid,), units[lab], None))
                 continue
             for lab2, _, nxt in steps[mid]:
-                rank2 = rank_of.get(lab2, 0)
+                rank2 = keys.get(lab2, 0)
                 if rank2 <= rank:
                     continue
                 follow = memo.get((nxt, rank2))

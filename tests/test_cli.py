@@ -306,6 +306,23 @@ def test_malformed_spec_values_exit_two(capsys, tmp_path, spec):
     assert err.startswith("error: spec-file ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff\xfe{"n": 1}',
+        b'{"n": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000,
+    ],
+    ids=["not-utf8", "int-past-digit-limit", "nested-too-deep"],
+)
+def test_unreadable_spec_file_exits_two(capsys, tmp_path, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "expand", "--spec-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: spec file ") and err.count("\n") == 1
+
+
 class TestInputErrors:
     def test_crossing_diagonals(self, capsys):
         code, _, err = run_cli(

@@ -29,16 +29,39 @@ def random_polynomial(rng, nvars, max_terms=6, span=3, coeff=9):
     return LaurentPolynomial(nvars, terms)
 
 
+def reference_terms(pairs):
+    """Exponent tuple -> summed coefficient, zeros dropped, in lexicographic
+    order: a plain dict that shares no code with the package's merge."""
+    out = {}
+    for exps, coeff in pairs:
+        out[exps] = out.get(exps, 0) + coeff
+    return [(exps, out[exps]) for exps in sorted(out) if out[exps]]
+
+
 def naive_product(f, g):
-    """Independent reference: accumulate g scaled by each term of f via adds."""
-    out = LaurentPolynomial.zero(f.nvars)
-    for exps, coeff in f.terms():
-        shifted = LaurentPolynomial(
-            g.nvars,
-            ((tuple(a + b for a, b in zip(exps, ge)), coeff * gc) for ge, gc in g.terms()),
-        )
-        out = out + shifted
-    return out
+    """Independent reference for ``f * g``, read from both ``terms()``."""
+    return reference_terms(
+        (tuple(a + b for a, b in zip(fe, ge)), fc * gc)
+        for fe, fc in f.terms()
+        for ge, gc in g.terms()
+    )
+
+
+def naive_sum(f, g):
+    """Independent reference for ``f + g``, read from both ``terms()``."""
+    return reference_terms([*f.terms(), *g.terms()])
+
+
+def cancelling_sum():
+    terms = {(1, -2, 0): 3, (0, 0, 5): -7, (2, 1, -1): 1}
+    return LaurentPolynomial(3, terms) + LaurentPolynomial(3, {e: -c for e, c in terms.items()})
+
+
+def cancelling_product():
+    # (x1 + 1)(x1 - 1)
+    return LaurentPolynomial(2, {(1, 0): 1, (0, 0): 1}) * LaurentPolynomial(
+        2, {(1, 0): 1, (0, 0): -1}
+    )
 
 
 class TestRingOperations:
@@ -68,7 +91,14 @@ class TestRingOperations:
         for _ in range(40):
             f = random_polynomial(rng, 3)
             g = random_polynomial(rng, 3)
-            assert f * g == naive_product(f, g)
+            assert list((f * g).terms()) == naive_product(f, g)
+
+    def test_sum_against_naive_reference(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            f = random_polynomial(rng, 3)
+            g = random_polynomial(rng, 3)
+            assert list((f + g).terms()) == naive_sum(f, g)
 
     def test_ring_axioms(self):
         rng = random.Random(13)
@@ -102,6 +132,15 @@ class TestRingOperations:
         assert len(p) == 0
         assert not p
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [(cancelling_sum, []), (cancelling_product, [((0, 0), -1), ((2, 0), 1)])],
+        ids=["add", "mul"],
+    )
+    def test_merging_operation_stores_no_cancelled_term(self, build, expected):
+        # terms() lists every stored term, a zero one included
+        assert list(build().terms()) == expected
+
 
 class TestMonomialProducts:
     """One-term operands, of one variable, none (`one`) or two, shift the other operand's keys."""
@@ -124,14 +163,14 @@ class TestMonomialProducts:
     def test_one_term_operand_on_either_side(self, name):
         m = self.MONOMIALS[name]
         for f in self.operands():
-            assert m * f == naive_product(m, f)
-            assert f * m == naive_product(f, m)
+            assert list((m * f).terms()) == naive_product(m, f)
+            assert list((f * m).terms()) == naive_product(f, m)
 
     def test_one_term_operands_on_both_sides(self):
         for m in self.MONOMIALS.values():
             for k in self.MONOMIALS.values():
                 product = m * k
-                assert product == naive_product(m, k)
+                assert list(product.terms()) == naive_product(m, k)
                 assert len(product) == 1
 
     @pytest.mark.parametrize("name", sorted(MONOMIALS))

@@ -295,17 +295,20 @@ class TestCrossingOrder:
 
     def test_crossing_keys_rise_componentwise_along_the_segment(self):
         # Vertex k at (k, k^2), as in TestCrosses.  Sorted by where each
-        # diagonal meets the segment source->target, the crossing keys rise in
-        # both components and never repeat; the pruned search's rank sum and
-        # its proof that no path repeats an edge rest on this.
+        # diagonal meets the segment source->target, the crossing positions
+        # rise in both components and never repeat, so the crossing table's
+        # ranks p + q rise strictly; rule 6, the pruned search and its proof
+        # that no path repeats an edge rest on this.
         cases = 0
         for n in range(1, 6):
-            point = {k: (k, k * k) for k in range(1, n + 4)}
+            nv = n + 3
+            point = {k: (k, k * k) for k in range(1, nv + 1)}
             for t in all_triangulations(n):
                 for chord in all_polygon_diagonals(n):
                     for source in chord.endpoints():
-                        a, b = point[source], point[chord.other_end(source)]
-                        keys = crossing_keys(t, source, chord.other_end(source))
+                        target = chord.other_end(source)
+                        a, b = point[source], point[target]
+                        keys = crossing_keys(t, source, target)
                         meets = {}
                         for lab in keys:
                             c, d = (point[v] for v in t.arc(lab).endpoints())
@@ -313,9 +316,15 @@ class TestCrossingOrder:
                             side_a, side_b = orient(c, d, a), orient(c, d, b)
                             meets[lab] = Fraction(side_a, side_a - side_b)
                         assert len(set(meets.values())) == len(meets)
-                        ordered = [keys[lab] for lab in sorted(keys, key=meets.get)]
-                        for (p1, q1), (p2, q2) in zip(ordered, ordered[1:]):
+                        ordered = sorted(keys, key=meets.get)
+                        positions = [
+                            crossing_position(t.arc(lab), source, target, nv) for lab in ordered
+                        ]
+                        for (p1, q1), (p2, q2) in zip(positions, positions[1:]):
                             assert p1 <= p2 and q1 <= q2 and (p1, q1) != (p2, q2)
+                        ranks = [keys[lab] for lab in ordered]
+                        assert ranks == [p + q for p, q in positions]
+                        assert all(r1 < r2 for r1, r2 in zip(ranks, ranks[1:]))
                         cases += 1
         assert cases == 6766
 
