@@ -56,8 +56,6 @@ class ProblemSpec:
     def chord(self) -> Arc:
         if self.target is None:
             raise InputError("no target diagonal given (use --target or the spec file)")
-        if len(self.target) != 2:
-            raise InputError(f"target must be a vertex pair, got {self.target!r}")
         return Arc(*self.target)
 
 

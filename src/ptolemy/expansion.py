@@ -207,9 +207,7 @@ def check_bijections_fg(
     nvars = t.n_labels
     _, units = packed_layout(nvars)
     found = _paths_between(t, source, target, paths=paths)
-    # Paths are keyed by their plain (vertices, labels) tuples, which hash
-    # faster than the dataclass; a TPath is built only for a failure message.
-    weight = {(p.vertices, p.labels): w for p, w in zip(found, _weight_keys(found, nvars))}
+    weight = dict(zip(found, _weight_keys(found, nvars)))
     failures: list[str] = []
     counts: dict[str, int] = {"total": len(found)}
     family_sum: dict[int, LaurentPolynomial] = {}
@@ -224,7 +222,7 @@ def check_bijections_fg(
     for corner, side, via in sides:
         corner_paths = _paths_between(t, corner, target, paths=paths)
         corner_total += len(corner_paths)
-        family = [(p.vertices, p.labels) for p in found if p.labels[0] == side]
+        family = [p for p in found if p.labels[0] == side]
         family_sum[side] = LaurentPolynomial.from_keys(nvars, [weight[p] for p in family])
         counts[f"family_{side}"] = len(family)
         counts[f"corner_{corner}"] = len(corner_paths)
@@ -246,18 +244,14 @@ def check_bijections_fg(
                     "after its first edge"
                 )
                 continue
-            image = (vertices, labels)
+            image = TPath(vertices, labels)
             if image not in weight:
-                failures.append(f"image {TPath(*image)} of {gamma} is not an admissible path")
+                failures.append(f"image {image} of {gamma} is not an admissible path")
                 continue
             if not in_family:
-                failures.append(
-                    f"image {TPath(*image)} of {gamma} missed the {expected_family} family"
-                )
+                failures.append(f"image {image} of {gamma} missed the {expected_family} family")
             if weight[image] != transported_weight:
-                failures.append(
-                    f"weight of {TPath(*image)} is not weight({gamma})*x{side}/x{step.pivot}"
-                )
+                failures.append(f"weight of {image} is not weight({gamma})*x{side}/x{step.pivot}")
             images.append(image)
         if len(set(images)) != len(images):
             failures.append(f"images from corner {corner} collide")

@@ -85,16 +85,12 @@ def cluster_variable_recursive(
 ) -> LaurentPolynomial:
     """Laurent polynomial of any arc, by induction on its crossing count.
 
-    An arc of the triangulation is its own variable.  Otherwise the
-    quadrilateral at the first crossing from ``origin`` (default ``arc.u``)
-    yields
-
-        x[arc] = (x[cw_side] * x[ccw_far] + x[ccw_side] * x[cw_far]) / x[pivot]
-
-    where both far arcs cross strictly fewer diagonals, so the induction
-    terminates.  Both far arcs end at the arc's other end, the target, so
-    every arc the call meets is (x, target) for some vertex x: at most n + 2
-    arcs, each stepped once from x, from the five ints of
+    An arc of the triangulation is its own variable.  Otherwise the exchange
+    identity of the quadrilateral at the first crossing from ``origin``
+    (default ``arc.u``; see ``CrossingStep``) gives x[arc] from the far arcs
+    {corner, target}, which cross strictly fewer diagonals, so the induction
+    terminates.  Every arc the call meets is thus (x, target) for some vertex
+    x: at most n + 2 arcs, each stepped once from x, from the five ints of
     ``polygon._fan_step``.  A first pass orders the steps far arcs first on
     an explicit stack, one frame per arc, so the crossing count is not
     bounded by the interpreter's recursion limit; an arc met again while

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .errors import InputError, InvariantError, ResourceLimitError
 
@@ -185,33 +186,30 @@ class FlipQuadrilateral:
     opposite_pairs: tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class CrossingStep:
-    """Quadrilateral data at the first crossing of an oriented chord.
+class CrossingStep(NamedTuple):
+    """Quadrilateral at the first crossing of a chord from origin to target.
 
-    For a chord from ``origin`` to ``target`` not belonging to the
-    triangulation, ``pivot`` labels the crossing diagonal nearest ``origin``:
-    the third side of the triangle of the triangulation that the chord leaves
-    ``origin`` through.  That triangle's other two sides are the edges
-    {origin, ccw_corner} and {origin, cw_corner}, where the corners are the
-    neighbours of origin nearest the chord on the counterclockwise and
-    clockwise walks from origin to target, hence also the pivot's endpoints
-    on those walks.  ``ccw_far`` and ``cw_far`` close up the quadrilateral
-    (origin, ccw_corner, target, cw_corner); they need not belong to the
-    triangulation.  The one-step exchange identity reads
+    ``pivot`` labels the crossing diagonal nearest origin: the third side of
+    the triangle of the triangulation that the chord leaves origin through.
+    The triangle's other sides are ``ccw_side`` = {origin, ccw_corner} and
+    ``cw_side`` = {origin, cw_corner}; the corners are origin's neighbours
+    nearest the chord on the counterclockwise and clockwise walks to target,
+    hence also the pivot's endpoints on those walks.  The quadrilateral is
+    (origin, ccw_corner, target, cw_corner), and the one-step exchange
+    identity reads
 
-        x[chord] * x[pivot] == x[cw_side] * x[ccw_far] + x[ccw_side] * x[cw_far]
+        x[chord] * x[pivot] == x[cw_side] * x[ccw_corner, target]
+                               + x[ccw_side] * x[cw_corner, target]
+
+    where x[a, b] is the variable of the arc {a, b}, which need not belong
+    to the triangulation.
     """
 
-    origin: int
-    target: int
-    pivot: int
     ccw_corner: int
     cw_corner: int
+    pivot: int
     ccw_side: int
     cw_side: int
-    ccw_far: Arc
-    cw_far: Arc
 
 
 @dataclass(frozen=True)
@@ -298,14 +296,16 @@ class Triangulation:
         return {i + 1: (arc.u, arc.v) for i, arc in enumerate(self.edges)}
 
     @cached_property
-    def _steps(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """Vertex -> (label, 1 << label, far end) per incident edge, ascending label."""
-        steps: dict[int, list[tuple[int, int, int]]] = {
-            v: [] for v in range(1, self.n_vertices + 1)
-        }
+    def _steps(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Vertex -> its fan: (label, far end) per incident edge, ascending label.
+
+        The only neighbour table a triangulation keeps: the path searches
+        step along it and ``_fan_step`` reads the crossing step off it.
+        """
+        steps: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n_vertices + 1)}
         for label, arc in enumerate(self.edges, start=1):
-            steps[arc.u].append((label, 1 << label, arc.v))
-            steps[arc.v].append((label, 1 << label, arc.u))
+            steps[arc.u].append((label, arc.v))
+            steps[arc.v].append((label, arc.u))
         return {v: tuple(fan) for v, fan in steps.items()}
 
     def incident_labels(self, vertex: int) -> tuple[int, ...]:
@@ -313,13 +313,9 @@ class Triangulation:
         return tuple(step[0] for step in self._steps[vertex])
 
     @cached_property
-    def _neighbors(self) -> dict[int, set[int]]:
-        return _neighbor_sets(self.n_vertices, self._label_by_pair)
-
-    @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """All triangles, as ascending vertex triples in ascending order."""
-        neighbors = self._neighbors
+        neighbors = _neighbor_sets(self.n_vertices, self._label_by_pair)
         return tuple(
             (u, v, w)
             for u, joined in neighbors.items()
@@ -332,7 +328,8 @@ class Triangulation:
         if not 1 <= k <= self.n:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
-        corners, replacement = _flip_corners(self._neighbors, d.u, d.v)
+        neighbors = _neighbor_sets(self.n_vertices, self._label_by_pair)
+        corners, replacement = _flip_corners(neighbors, d.u, d.v)
         p0, p1, p2, p3 = corners
 
         def side(a: int, b: int) -> int:
@@ -422,28 +419,17 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
         raise InputError(f"{origin} is not an endpoint of {chord}")
     if (chord.u, chord.v) in t._label_by_pair:
         return None
-    target = chord.other_end(origin)
-    ccw_corner, cw_corner, pivot, ccw_side, cw_side = _fan_step(t, origin, target)
-    return CrossingStep(
-        origin=origin,
-        target=target,
-        pivot=pivot,
-        ccw_corner=ccw_corner,
-        cw_corner=cw_corner,
-        ccw_side=ccw_side,
-        cw_side=cw_side,
-        ccw_far=Arc(ccw_corner, target),
-        cw_far=Arc(cw_corner, target),
-    )
+    return CrossingStep(*_fan_step(t, origin, chord.other_end(origin)))
 
 
 def _fan_step(t: Triangulation, origin: int, target: int) -> tuple[int, int, int, int, int]:
     """(ccw_corner, cw_corner, pivot, ccw_side, cw_side) of the chord origin-target.
 
-    The fields are those of ``CrossingStep``.  Nothing is validated: the
-    vertices must be distinct vertices of ``t`` and the chord not an arc of
-    ``t``, else the result means nothing.  A fan that has no such triangle
-    raises ``InvariantError``.
+    The fields are those of ``CrossingStep``, as a plain tuple, read off the
+    fan ``t._steps[origin]``.  Nothing is validated: the vertices must be
+    distinct vertices of ``t`` and the chord not an arc of ``t``, else the
+    result means nothing.  A fan that has no such triangle raises
+    ``InvariantError``.
     """
     nv = t.n_vertices
     labels = t._label_by_pair
@@ -454,7 +440,7 @@ def _fan_step(t: Triangulation, origin: int, target: int) -> tuple[int, int, int
     # and a check below refuses it.
     ccw_corner = cw_corner = origin
     ccw_step, cw_step = 0, nv
-    for x in t._neighbors[origin]:
+    for _, x in t._steps[origin]:
         s = (x - origin) % nv
         if s < span:
             if s > ccw_step:

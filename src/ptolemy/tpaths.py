@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .laurent import Monomial, packed_layout
@@ -43,9 +44,10 @@ from .polygon import Arc, Triangulation, crosses, crossing_position
 MAX_BRUTE_FORCE_RANK = 4
 
 
-@dataclass(frozen=True)
-class TPath:
-    """Vertex sequence plus the edge labels joining consecutive vertices."""
+class TPath(NamedTuple):
+    """Vertex sequence plus the edge labels joining consecutive vertices.
+
+    Equal to the pair (vertices, labels), so ``len()`` is 2; ``length`` counts edges."""
 
     vertices: tuple[int, ...]
     labels: tuple[int, ...]
@@ -220,7 +222,7 @@ def enumerate_t_paths(
 
     def moves(vertex: int, last: int) -> list:
         kept = memo[vertex, last] = []
-        for lab, _, mid in steps[vertex]:
+        for lab, mid in steps[vertex]:
             rank = keys.get(lab)
             if rank is None:
                 rank = last
@@ -229,7 +231,7 @@ def enumerate_t_paths(
             if mid == target:
                 kept.append(((lab,), (mid,), units[lab], None))
                 continue
-            for lab2, _, nxt in steps[mid]:
+            for lab2, nxt in steps[mid]:
                 rank2 = keys.get(lab2, 0)
                 if rank2 <= rank:
                     continue
@@ -275,19 +277,20 @@ def brute_force_t_path_table(
     """Oracle enumeration from one source: edge-distinct walks, filtered by
     the six rules, for each target at once.
 
-    One walk from ``source`` serves every target: each odd-length arrival at
-    a target becomes a ``TPath`` and is kept when ``is_valid_t_path`` passes
-    it with that target's own crossing table.  The walk carries a mask of the
-    targets whose chord every even-position edge so far crosses, read from
-    the same crossing tables; it extends no trail whose mask is empty and
-    checks an arrival only when its target's bit is set.  Rule 5 is closed
-    under prefixes: an even-position edge that misses a target's chord keeps
-    that position in every extension of the trail.  So the pruning drops no
-    path that could pass, and each list, order included, is the one a walk
-    over every edge-distinct trail gives.  The oracle reads nothing of the
-    pruned search (``enumerate_t_paths``), neither its moves, its crossing
-    ranks nor its reachability test, so agreement between the two still
-    exercises that search end to end.  Guarded to small ranks; the walk
+    One walk from ``source`` serves every target: each odd-length arrival at a
+    target becomes a ``TPath`` and is kept when ``is_valid_t_path`` passes it
+    with that target's own crossing table.  The walk steps along the fans of
+    ``t._steps``, carrying the labels it used as a mask of bits ``1 << label``
+    and a mask of the targets whose chord every even-position edge so far
+    crosses, read from the same crossing tables; it extends no trail whose
+    target mask is empty and checks an arrival only when its target's bit is
+    set.  Rule 5 is closed under prefixes: an even-position edge that misses a
+    target's chord keeps that position in every extension of the trail.  So
+    the pruning drops no path that could pass, and each list, order included,
+    is the one a walk over every edge-distinct trail gives.  The oracle reads
+    nothing of the pruned search (``enumerate_t_paths``), neither its moves,
+    its crossing ranks nor its reachability test, so agreement between the two
+    still exercises that search end to end.  Guarded to small ranks; the walk
     count grows quickly.
     """
     if t.n > MAX_BRUTE_FORCE_RANK:
@@ -307,7 +310,8 @@ def brute_force_t_path_table(
     labels: list[int] = []
 
     def extend(vertex: int, used: int, odd: bool, live: int) -> None:
-        for lab, bit, nxt in steps[vertex]:
+        for lab, nxt in steps[vertex]:
+            bit = 1 << lab
             if used & bit:
                 continue
             if odd:

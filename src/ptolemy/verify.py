@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InputError, InvariantError
 from .expansion import (
@@ -39,9 +40,6 @@ from .expansion import (
 from .oracle import cluster_variable_recursive
 from .polygon import MAX_ENUMERATION_RANK, all_polygon_diagonals, all_triangulations
 from .tpaths import MAX_BRUTE_FORCE_RANK, TPath, brute_force_t_path_table, enumerate_t_paths
-
-# Triangulation counts of the (n+3)-gon by rank n (Catalan numbers C(n+1)).
-TRIANGULATION_COUNTS = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429, 7: 1430, 8: 4862}
 
 LEVELS = ("quick", "full")
 
@@ -61,7 +59,8 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         raise InputError(f"verification sweeps accept ranks 1..{MAX_ENUMERATION_RANK}, got {n}")
     pending = deque(all_triangulations(n))
     diagonals = all_polygon_diagonals(n)
-    found, expected = len(pending), TRIANGULATION_COUNTS[n]
+    # The (n+3)-gon has Catalan C(n+1) triangulations.
+    found, expected = len(pending), comb(2 * n + 2, n + 1) // (n + 2)
     status = "pass" if found == expected else "fail"
     rows = [CheckRow("triangulation-count", 1, status, f"{found} of {expected}")]
     recursion, units, denominators = (

@@ -24,9 +24,10 @@ def looping_step(t, origin, target):
 
 
 def stray_fans(self):
-    """Stand-in neighbour sets: 3 joined to 4 and 8, which are not joined to
-    each other, and 5 joined to 2, which no edge of the octagon joins."""
-    return {3: {4, 8}, 5: {2, 4}}
+    """Stand-in fans of (label, far end): 3 joined to 4 and 8, which are not
+    joined to each other, and 5 joined to 2, which no edge of the octagon
+    joins.  The crossing step reads only the far ends; a stray edge gets label 0."""
+    return {3: ((8, 4), (0, 8)), 5: ((0, 2), (9, 4))}
 
 
 # site: (owner, attribute, stand-in, call on the octagon, expected message fragment)
@@ -47,14 +48,14 @@ FAULTS = {
     ),
     "first-crossing-corners": (
         Triangulation,
-        "_neighbors",
+        "_steps",
         property(stray_fans),
         lambda t: first_crossing_step(t, Arc(3, 7), 3),
         "neighbours 4 and 8 of 3 around 3-7 are not joined",
     ),
     "first-crossing-sides": (
         Triangulation,
-        "_neighbors",
+        "_steps",
         property(stray_fans),
         lambda t: first_crossing_step(t, Arc(3, 5), 5),
         "before pivot 2-4 lacks a side",

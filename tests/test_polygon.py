@@ -25,6 +25,7 @@ from ptolemy import (
     flip_graph,
     snake_triangulation,
 )
+from ptolemy.polygon import _fan_step
 from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_DIAGONALS
 
@@ -382,15 +383,11 @@ def crossing_step_by_definition(t, chord, origin):
     a, b = t.arc(pivot).endpoints()
     ccw, cw = (a, b) if 0 < (a - origin) % nv < (target - origin) % nv else (b, a)
     return CrossingStep(
-        origin=origin,
-        target=target,
-        pivot=pivot,
         ccw_corner=ccw,
         cw_corner=cw,
+        pivot=pivot,
         ccw_side=t.label_of(Arc(origin, ccw)),
         cw_side=t.label_of(Arc(origin, cw)),
-        ccw_far=Arc(ccw, target),
-        cw_far=Arc(cw, target),
     )
 
 
@@ -414,17 +411,12 @@ def walked_triangulations(draw):
 
 class TestFirstCrossingStep:
     def test_octagon(self, octagon):
-        assert first_crossing_step(octagon, Arc(3, 7), 3) == CrossingStep(
-            origin=3,
-            target=7,
-            pivot=1,
-            ccw_corner=4,
-            cw_corner=2,
-            ccw_side=8,
-            cw_side=7,
-            ccw_far=Arc(4, 7),
-            cw_far=Arc(2, 7),
-        )
+        step = first_crossing_step(octagon, Arc(3, 7), 3)
+        assert step == CrossingStep(ccw_corner=4, cw_corner=2, pivot=1, ccw_side=8, cw_side=7)
+        assert CrossingStep._fields == ("ccw_corner", "cw_corner", "pivot", "ccw_side", "cw_side")
+        # The exchange recursion reads the same five ints as a plain tuple.
+        assert type(_fan_step(octagon, 3, 7)) is tuple
+        assert step == _fan_step(octagon, 3, 7)
         assert first_crossing_step(octagon, Arc(3, 7), 7).pivot == 5
         assert first_crossing_step(octagon, Arc(2, 6), 2) is None
 

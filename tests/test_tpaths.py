@@ -41,6 +41,18 @@ def small_instances(max_rank):
                     yield t, origin, chord.other_end(origin)
 
 
+def test_tpath_is_the_pair_of_its_fields():
+    # Set and dict order over paths follow this hash; printed paths, repr and str.
+    vertices, labels = (3, 2, 6, 7), (7, 3, 11)
+    path = TPath(vertices, labels)
+    assert hash(path) == hash((vertices, labels))
+    assert path == (vertices, labels) and len(path) == 2 and path.length == 3
+    assert repr(path) == "TPath(vertices=(3, 2, 6, 7), labels=(7, 3, 11))"
+    assert str(path) == "(3,2,6,7 | 7,3,11)"
+    with pytest.raises(AttributeError):
+        path.labels = ()
+
+
 class TestValidator:
     def test_listed_path_is_valid(self, octagon):
         path = TPath((3, 2, 6, 7), (7, 3, 11))
@@ -184,7 +196,7 @@ def validator_cases(max_rank):
             vs, ls = [source], []
             options = steps[source]
             while options:
-                lab, _, nxt = rng.choice(options)
+                lab, nxt = rng.choice(options)
                 vs.append(nxt)
                 ls.append(lab)
                 if nxt == target:
