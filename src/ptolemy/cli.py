@@ -5,13 +5,16 @@ described by flags (--n, --diagonals, --target, --orient) or a JSON spec file;
 explicit flags override the file.  Text output is stable and pinned by golden
 tests; structured output is versioned JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 141 stdout
+closed before all output was written (as by ``| head -1``; a shell reports
+141 for SIGPIPE), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -352,10 +355,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before the last write is met here
+        return code
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ representation to fall back to.
 Terms merge in one place: ``_normal_form`` sums the coefficients of equal keys
 and stores no zero.  The public constructor, ``+``, ``*`` and
 ``substitute_ones`` build their key dictionaries through it; ``from_keys``
-counts its keys itself, since coefficients of 1 never cancel.  Every result
-of an operation is built by one internal constructor, ``_of``, which
-range-checks the keys with ``_check_keys`` and then wraps them.
+maps each key to 1 itself, since coefficients of 1 never cancel, and counts
+only on a repeat.  Every result of an operation is built by one internal
+constructor, ``_of``, which range-checks the keys with ``_check_keys`` and
+then wraps them.
 
 Arithmetic never decodes a key.  The product of two terms has key
 ``k1 + k2 - zero``, where ``zero`` is the key of x^0, and multiplying by x_i^d
@@ -228,12 +229,14 @@ class LaurentPolynomial:
         return cls(nvars, ((m.exponents, m.coefficient) for m in monomials))
 
     @classmethod
-    def from_keys(cls, nvars: int, keys: Iterable[int]) -> "LaurentPolynomial":
+    def from_keys(cls, nvars: int, keys: Sequence[int]) -> "LaurentPolynomial":
         """Sum of the monomials with these packed keys (see ``packed_layout``), each
-        with coefficient 1; a repeated key adds up."""
-        out: dict[int, int] = {}
-        for key in keys:
-            out[key] = out.get(key, 0) + 1
+        with coefficient 1; a repeated key adds up, counted only when one repeats."""
+        out = dict.fromkeys(keys, 1)
+        if len(out) != len(keys):
+            out = {}
+            for key in keys:
+                out[key] = out.get(key, 0) + 1
         return cls._of(nvars, out)
 
     # --- ring operations ---------------------------------------------------

@@ -140,30 +140,24 @@ def crosses_before(d1: Arc, d2: Arc, chord: Arc, origin: int, n_vertices: int) -
     return k1 < k2
 
 
-def _flip_corners(
-    neighbors: dict[int, set[int]], u: int, v: int
-) -> tuple[tuple[int, int, int, int], tuple[int, int]]:
-    """Corners, ascending, and the other diagonal of the quadrilateral around {u, v}.
-
-    ``neighbors`` is ``_neighbor_sets`` of every arc of a triangulation, the
-    diagonal {u, v} (u < v) among them.  The two apexes are the vertices
-    joined to both u and v: ``neighbors[u] & neighbors[v]``.
-    """
-    apexes = neighbors[u] & neighbors[v]
-    if len(apexes) != 2:
-        raise InvariantError(f"diagonal {u}-{v} bounds {len(apexes)} triangles, expected 2")
-    p0, p1, p2, p3 = sorted((u, v, *apexes))
-    replacement = (p1, p3) if (u, v) == (p0, p2) else (p0, p2)
-    return (p0, p1, p2, p3), replacement
-
-
-def _neighbor_sets(n_vertices: int, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Vertex -> the vertices joined to it by one of the given arcs, as (u, v) pairs."""
-    neighbors: dict[int, set[int]] = {v: set() for v in range(1, n_vertices + 1)}
+def _joined(pairs: Iterable[tuple[int, int]], base: list[int]) -> list[int]:
+    """Vertex -> bitmask of the vertices joined to it: ``base`` copied, then bit v
+    OR'd into entry u and bit u into entry v for each (u, v) pair."""
+    joined = base.copy()
     for u, v in pairs:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return neighbors
+        joined[u] |= 1 << v
+        joined[v] |= 1 << u
+    return joined
+
+
+def _apexes(joined: list[int], u: int, v: int) -> tuple[int, int]:
+    """The apexes of the two triangles on the diagonal {u, v}, low then high:
+    the diagonal its flip puts in its place.  ``joined`` masks every arc."""
+    apexes = joined[u] & joined[v]
+    count = apexes.bit_count()
+    if count != 2:
+        raise InvariantError(f"diagonal {u}-{v} bounds {count} triangles, expected 2")
+    return (apexes & -apexes).bit_length() - 1, apexes.bit_length() - 1
 
 
 @cache
@@ -314,13 +308,18 @@ class Triangulation:
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        """All triangles, as ascending vertex triples in ascending order."""
-        neighbors = _neighbor_sets(self.n_vertices, self._label_by_pair)
+        """All triangles, as ascending vertex triples in ascending order.
+
+        The triangle (u, v, w), u < v < w, is read off its side {u, v}: w is the
+        one apex above v, the top bit of ``joined[u] & joined[v]``.  The masks are
+        built here, as in ``quadrilateral``: the fan stays the only neighbour
+        table a triangulation keeps.
+        """
+        joined = _joined(self._label_by_pair, [0] * (self.n_vertices + 1))
         return tuple(
-            (u, v, w)
-            for u, joined in neighbors.items()
-            for v in sorted(x for x in joined if x > u)
-            for w in sorted(x for x in joined & neighbors[v] if x > v)
+            (u, v, (joined[u] & joined[v]).bit_length() - 1)
+            for u, v in sorted(self._label_by_pair)
+            if (joined[u] & joined[v]) >> v + 1
         )
 
     def quadrilateral(self, k: int) -> FlipQuadrilateral:
@@ -328,8 +327,9 @@ class Triangulation:
         if not 1 <= k <= self.n:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
-        neighbors = _neighbor_sets(self.n_vertices, self._label_by_pair)
-        corners, replacement = _flip_corners(neighbors, d.u, d.v)
+        joined = _joined(self._label_by_pair, [0] * (self.n_vertices + 1))
+        replacement = _apexes(joined, d.u, d.v)
+        corners = tuple(sorted((d.u, d.v, *replacement)))
         p0, p1, p2, p3 = corners
 
         def side(a: int, b: int) -> int:
@@ -475,7 +475,8 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     Produced by breadth-first flips from the fan at vertex 1, each diagonal
     set keyed by a bitmask; nodes come back sorted by their sorted diagonal
     vertex-pair sets, with labels in that order, each validated once on
-    construction, and edges as index pairs into the node list.
+    construction, and edges as index pairs into the node list.  A flip of
+    {u, v} joins its two apexes, read by ``_apexes`` from per-vertex bitmasks.
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
@@ -485,7 +486,7 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
         )
     nv = n + 3
     boundary = _boundary(nv)
-    ring = tuple((arc.u, arc.v) for arc in boundary)
+    ring = _joined(((arc.u, arc.v) for arc in boundary), [0] * (nv + 1))
     arcs = {(d.u, d.v): d for d in all_polygon_diagonals(n)}
     bit = {pair: 1 << i for i, pair in enumerate(arcs)}
     start = tuple((1, v) for v in range(3, nv))
@@ -495,9 +496,9 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     ids = {found[0][0]: 0}
     flips = []
     for i, (mask, key) in enumerate(found):
-        neighbors = _neighbor_sets(nv, ring + key)
+        joined = _joined(key, ring)
         for j, (u, v) in enumerate(key):
-            _, replacement = _flip_corners(neighbors, u, v)
+            replacement = _apexes(joined, u, v)
             other = mask ^ bit[u, v] ^ bit[replacement]
             k = ids.setdefault(other, len(found))
             if k == len(found):

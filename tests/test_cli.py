@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -418,3 +421,42 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert run_cli(capsys, "expand", *OCTAGON_ARGS, "--format", "structured") == (0, expand_golden, "")
     graph_golden = (GOLDEN / "graph_n2.json").read_text()
     assert run_cli(capsys, "graph", "--n", "2", "--format", "structured") == (0, graph_golden, "")
+
+
+def run_with_closed_stdout(argv, optimize, read_first_line):
+    """Run ``python [-O] -m ptolemy argv`` with its stdout closed early: after
+    one line is read, or before the process starts.  Returns (exit code,
+    first line read, stderr)."""
+    src = Path(ptolemy.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # Block-buffered stdout, as in a shell pipeline: short output is first
+    # written by a flush, not by ``print``.
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, *(["-O"] if optimize else []), "-m", "ptolemy", *argv]
+    if read_first_line:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(command, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        first = b""
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, first, err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "argv, read_first_line, first",
+    [
+        # Far more than a pipe buffer, so a write meets the closed pipe: ``| head -1``.
+        (["graph", "--n", "7"], True, b"graph flips {\n"),
+        # One short line, still buffered when the command returns: the flush meets it.
+        (["expand", *OCTAGON_ARGS], False, b""),
+    ],
+    ids=["head", "closed-before-start"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv, read_first_line, first, optimize):
+    assert run_with_closed_stdout(argv, optimize, read_first_line) == (141, first, b"")

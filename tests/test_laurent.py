@@ -329,6 +329,25 @@ class TestPackedRange:
             with pytest.raises(InputError, match="leaves the range -64..63"):
                 LaurentPolynomial.from_keys(nv, [zero, key])
 
+    def test_from_keys_counts_only_repeated_keys(self):
+        # Distinct keys take the one-pass route, a repeat the counting one:
+        # both give the same terms and both range-check every key.
+        nv = 2
+        zero, units = packed_layout(nv)
+        k, k2 = zero + units[1], zero - units[2]
+        assert list(LaurentPolynomial.from_keys(nv, [k, k, k2]).terms()) == [
+            ((0, -1), 1),
+            ((1, 0), 2),
+        ]
+        assert list(LaurentPolynomial.from_keys(nv, [k, k2]).terms()) == [
+            ((0, -1), 1),
+            ((1, 0), 1),
+        ]
+        spilled = zero + 64 * units[2]
+        for keys in ([k, spilled], [k, k, spilled], [spilled, spilled]):
+            with pytest.raises(InputError, match="leaves the range -64..63"):
+                LaurentPolynomial.from_keys(nv, keys)
+
     @pytest.mark.parametrize("optimize", [False, True])
     def test_operation_leaving_the_range_raises(self, capsys, optimize):
         code = f"SPILLS = {SPILLS!r}\n{SPILL_RUNNER}"

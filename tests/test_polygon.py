@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -490,6 +491,20 @@ class TestAllTriangulations:
             all_triangulations(9)
 
 
+class TestTriangles:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_brute_force(self, n):
+        # Every ascending vertex triple whose three sides are arcs of t, in order.
+        for t in all_triangulations(n):
+            by_definition = tuple(
+                triple
+                for triple in combinations(range(1, t.n_vertices + 1), 3)
+                if all(t.contains(Arc(a, b)) for a, b in combinations(triple, 2))
+            )
+            assert t.triangles == by_definition
+            assert len(by_definition) == n + 1
+
+
 # SHA-256 of repr((node diagonal keys as vertex pairs, edges)) of flip_graph(n).
 FLIP_GRAPH_DIGESTS = {
     1: "a3706391e01f0954b3b897af798df26bd1d776e1a09af18c906ac6da3cdf59f3",
@@ -538,6 +553,21 @@ class TestFlipGraph:
         nodes, edges = flip_graph(n)
         keys = [[arc.endpoints() for arc in t.diagonal_key()] for t in nodes]
         assert hashlib.sha256(repr((keys, edges)).encode()).hexdigest() == FLIP_GRAPH_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flips_of_each_node_are_its_edges(self, n):
+        # The graph search and Triangulation.flip read the same apex masks:
+        # the n flips of a node reach exactly its n neighbours in ``edges``.
+        nodes, edges = flip_graph(n)
+        index = {t.diagonal_key(): i for i, t in enumerate(nodes)}
+        neighbours = [set() for _ in nodes]
+        for i, j in edges:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        for i, t in enumerate(nodes):
+            flipped = [index[t.flip(k).diagonal_key()] for k in range(1, n + 1)]
+            assert all(j in neighbours[i] for j in flipped)
+            assert len(set(flipped)) == len(neighbours[i]) == n
 
     def test_rank_seven_is_regular(self):
         nodes, edges = flip_graph(7)
