@@ -178,7 +178,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         print(
             _structured(
                 spec.n,
-                target=chord.endpoints(),
+                target=chord,
                 origin=origin,
                 trivial_coefficients=spec.trivial_coefficients,
                 terms=poly.to_term_list(),
@@ -195,7 +195,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         raise InputError(f"{origin} is not an endpoint of {chord}")
     paths = [str(p) for p in enumerate_t_paths(t, origin, chord.other_end(origin))]
     if spec.fmt == "structured":
-        print(_structured(spec.n, target=chord.endpoints(), origin=origin, paths=paths))
+        print(_structured(spec.n, target=chord, origin=origin, paths=paths))
     else:
         for line in paths:
             print(line)
@@ -251,8 +251,7 @@ def _node_name(t: Triangulation) -> str:
 def _cmd_triangulations(args: argparse.Namespace) -> int:
     nodes = all_triangulations(args.n)
     if args.format == "structured":
-        pairs = [[arc.endpoints() for arc in t.diagonal_key()] for t in nodes]
-        print(_structured(args.n, triangulations=pairs))
+        print(_structured(args.n, triangulations=[t.diagonal_key() for t in nodes]))
     else:
         for t in nodes:
             print(_node_name(t))
@@ -277,6 +276,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        sys.stdout.flush()  # --help's text, so ``main`` meets a closed pipe, not exit
+        super().exit(status, message)
 
 
 @cache
@@ -352,9 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone before the last write is met here
         return code

@@ -1,10 +1,13 @@
 """Combinatorial model of a convex polygon and its labeled triangulations.
 
 Vertices of an (n+3)-gon are numbered 1..n+3 counterclockwise.  An arc is a
-chord between two distinct vertices; it is a boundary edge when its endpoints
-are circularly adjacent and a diagonal otherwise.  A triangulation stores its
-2n+3 arcs by label: labels 1..n are the diagonals, and the boundary edge
-{k, k+1} carries label n+k (vertex n+4 read as vertex 1).
+chord between two distinct vertices, a named tuple (u, v) with u < v that
+equals, hashes and sorts as that plain pair, as a ``TPath`` does; it is a
+boundary edge when its endpoints are circularly adjacent and a diagonal
+otherwise.  A triangulation stores its 2n+3 arcs by label: labels 1..n are
+the diagonals, and the boundary edge {k, k+1} carries label n+k (vertex n+4
+read as vertex 1).  Its pair -> label table is keyed by the arcs; its label
+-> ends table holds plain tuples, which Python 3.11 indexes faster.
 
 Everything is decided by exact circular-interleaving arithmetic on vertex
 indices; no coordinates or floating point appear anywhere, so every predicate
@@ -37,20 +40,15 @@ def _require_vertex(v: int, n_vertices: int) -> None:
         raise InputError(f"vertex {v!r} out of range 1..{n_vertices}")
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """Unordered pair of distinct polygon vertices, stored with u < v."""
+class Arc(NamedTuple("ArcFields", [("u", int), ("v", int)])):
+    """Unordered pair of distinct polygon vertices: the named tuple (u, v), u < v."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise InputError(f"arc endpoints must be distinct, got {self.u} twice")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
+    def __new__(cls, u: int, v: int) -> Arc:
+        if u == v:
+            raise InputError(f"arc endpoints must be distinct, got {u} twice")
+        return tuple.__new__(cls, (u, v) if u < v else (v, u))
 
     def validate(self, n_vertices: int) -> None:
         _require_vertex(self.u, n_vertices)
@@ -93,7 +91,7 @@ def crosses(d1: Arc, d2: Arc, n_vertices: int) -> bool:
 
 def _crosses(d1: Arc, d2: Arc) -> bool:
     """``crosses`` for validated arcs: with u < v, strict interleaving of the endpoints."""
-    a, b, c, d = d1.u, d1.v, d2.u, d2.v
+    (a, b), (c, d) = d1, d2
     return a < c < b < d or c < a < d < b
 
 
@@ -110,7 +108,7 @@ def crossing_position(d: Arc, origin: int, target: int, n_vertices: int) -> tupl
     """
     span = ccw_steps(origin, target, n_vertices)
     ccw_rank = cw_rank = None
-    for x in d.endpoints():
+    for x in d:
         s = ccw_steps(origin, x, n_vertices)
         if 0 < s < span:
             ccw_rank = s
@@ -227,14 +225,12 @@ class Triangulation:
         if len(self.edges) != 2 * n + 3:
             raise InputError(f"expected {2 * n + 3} labeled arcs, got {len(self.edges)}")
         diags = self.edges[:n]
-        pairs = []
         for arc in diags:
             arc.validate(nv)
-            u, v = arc.u, arc.v
+            u, v = arc
             # 1 <= u < v <= nv now, so v - u is the counterclockwise step count.
             if v - u == 1 or v - u == nv - 1:
                 raise InputError(f"{arc} is a boundary edge, not a diagonal")
-            pairs.append((u, v))
         # Each boundary label must hold one fixed arc, valid by construction.
         boundary = _boundary(nv)
         if self.edges[n:] != boundary:
@@ -242,10 +238,10 @@ class Triangulation:
             raise InputError(
                 f"label {n + k + 1} must carry boundary edge {boundary[k]}, got {self.edges[n + k]}"
             )
-        if len(set(pairs)) != n:
+        if len(set(diags)) != n:
             raise InputError("duplicate arcs in triangulation")
-        for i, (a, b) in enumerate(pairs):
-            for j, (c, d) in enumerate(pairs[i + 1 :], start=i + 1):
+        for i, (a, b) in enumerate(diags):
+            for j, (c, d) in enumerate(diags[i + 1 :], start=i + 1):
                 if a < c < b < d or c < a < d < b:
                     raise InputError(f"diagonals {diags[i]} and {diags[j]} cross")
 
@@ -270,8 +266,8 @@ class Triangulation:
         return tuple(sorted(self.diagonal_arcs()))
 
     @cached_property
-    def _label_by_pair(self) -> dict[tuple[int, int], int]:
-        return {(arc.u, arc.v): i + 1 for i, arc in enumerate(self.edges)}
+    def _label_by_pair(self) -> dict[Arc, int]:
+        return {arc: i + 1 for i, arc in enumerate(self.edges)}
 
     @cached_property
     def _crossing_keys(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -279,14 +275,14 @@ class Triangulation:
         return {}
 
     def label_of(self, arc: Arc) -> int | None:
-        return self._label_by_pair.get((arc.u, arc.v))
+        return self._label_by_pair.get(arc)
 
     def contains(self, arc: Arc) -> bool:
-        return (arc.u, arc.v) in self._label_by_pair
+        return arc in self._label_by_pair
 
     @cached_property
     def _ends(self) -> dict[int, tuple[int, int]]:
-        """Label -> its arc's (u, v); a label outside 1..2n+3 is absent."""
+        """Label -> its arc's (u, v) as a plain tuple; a label outside 1..2n+3 is absent."""
         return {i + 1: (arc.u, arc.v) for i, arc in enumerate(self.edges)}
 
     @cached_property
@@ -297,9 +293,9 @@ class Triangulation:
         step along it and ``_fan_step`` reads the crossing step off it.
         """
         steps: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n_vertices + 1)}
-        for label, arc in enumerate(self.edges, start=1):
-            steps[arc.u].append((label, arc.v))
-            steps[arc.v].append((label, arc.u))
+        for label, (u, v) in enumerate(self.edges, start=1):
+            steps[u].append((label, v))
+            steps[v].append((label, u))
         return {v: tuple(fan) for v, fan in steps.items()}
 
     def incident_labels(self, vertex: int) -> tuple[int, ...]:
@@ -328,8 +324,8 @@ class Triangulation:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
         joined = _joined(self._label_by_pair, [0] * (self.n_vertices + 1))
-        replacement = _apexes(joined, d.u, d.v)
-        corners = tuple(sorted((d.u, d.v, *replacement)))
+        replacement = _apexes(joined, *d)
+        corners = tuple(sorted((*d, *replacement)))
         p0, p1, p2, p3 = corners
 
         def side(a: int, b: int) -> int:
@@ -417,7 +413,7 @@ def first_crossing_step(t: Triangulation, chord: Arc, origin: int) -> CrossingSt
         raise InputError(f"{chord} is a boundary edge; only diagonals can be crossed")
     if not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
-    if (chord.u, chord.v) in t._label_by_pair:
+    if chord in t._label_by_pair:
         return None
     return CrossingStep(*_fan_step(t, origin, chord.other_end(origin)))
 
@@ -486,9 +482,10 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
         )
     nv = n + 3
     boundary = _boundary(nv)
-    ring = _joined(((arc.u, arc.v) for arc in boundary), [0] * (nv + 1))
-    arcs = {(d.u, d.v): d for d in all_polygon_diagonals(n)}
-    bit = {pair: 1 << i for i, pair in enumerate(arcs)}
+    ring = _joined(boundary, [0] * (nv + 1))
+    # Each diagonal's one Arc by its pair: the search runs on plain pairs, faster to unpack.
+    arcs = {d: d for d in all_polygon_diagonals(n)}
+    bit = {d: 1 << i for i, d in enumerate(arcs)}
     start = tuple((1, v) for v in range(3, nv))
     # (diagonal set as a bitmask over ``bit``, its vertex pairs) in order of
     # discovery; the list grows while it is read, so it is also the queue.

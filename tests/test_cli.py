@@ -455,8 +455,11 @@ def run_with_closed_stdout(argv, optimize, read_first_line):
         (["graph", "--n", "7"], True, b"graph flips {\n"),
         # One short line, still buffered when the command returns: the flush meets it.
         (["expand", *OCTAGON_ARGS], False, b""),
+        # argparse prints the help, short and still buffered, then exits.
+        (["--help"], False, b""),
+        (["graph", "--help"], False, b""),
     ],
-    ids=["head", "closed-before-start"],
+    ids=["head", "closed-before-start", "help", "subcommand-help"],
 )
 def test_closed_stdout_exits_141_without_traceback(argv, read_first_line, first, optimize):
     assert run_with_closed_stdout(argv, optimize, read_first_line) == (141, first, b"")

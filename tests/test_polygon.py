@@ -43,6 +43,20 @@ def test_arc_normalizes_and_rejects_loops():
         Arc(3, 3)
 
 
+def test_arc_is_its_sorted_pair():
+    # Set and dict order over arcs follow this hash; JSON writes an arc as its pair.
+    arc = Arc(4, 2)
+    assert arc == (2, 4) and hash(arc) == hash((2, 4))
+    assert len(arc) == 2 and tuple(arc) == (2, 4)
+    assert repr(arc) == "Arc(u=2, v=4)"
+    with pytest.raises(AttributeError):
+        arc.u = 3
+    with pytest.raises(InputError, match=r"^arc endpoints must be distinct, got 3 twice$"):
+        Arc(3, 3)
+    pairs = [(3, 7), (1, 8), (2, 4), (1, 3), (2, 9), (2, 3)]
+    assert [tuple(arc) for arc in sorted(Arc(v, u) for u, v in pairs)] == sorted(pairs)
+
+
 def test_arc_kind():
     assert Arc(1, 2).is_boundary(8)
     assert Arc(1, 8).is_boundary(8)
