@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import InputError, InvariantError, ResourceLimitError
 
@@ -50,9 +50,17 @@ class Arc(NamedTuple("ArcFields", [("u", int), ("v", int)])):
             raise InputError(f"arc endpoints must be distinct, got {u} twice")
         return tuple.__new__(cls, (u, v) if u < v else (v, u))
 
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Arc:
+        # The named tuple's own ``_make``, which ``_replace`` calls too, skips ``__new__``.
+        return cls(*iterable)
+
     def validate(self, n_vertices: int) -> None:
-        _require_vertex(self.u, n_vertices)
-        _require_vertex(self.v, n_vertices)
+        u, v = self
+        if type(u) is int and type(v) is int and 0 < u < v <= n_vertices:
+            return
+        _require_vertex(u, n_vertices)
+        _require_vertex(v, n_vertices)
 
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -138,10 +146,10 @@ def crosses_before(d1: Arc, d2: Arc, chord: Arc, origin: int, n_vertices: int) -
     return k1 < k2
 
 
-def _joined(pairs: Iterable[tuple[int, int]], base: list[int]) -> list[int]:
-    """Vertex -> bitmask of the vertices joined to it: ``base`` copied, then bit v
-    OR'd into entry u and bit u into entry v for each (u, v) pair."""
-    joined = base.copy()
+def _joined(pairs: Iterable[tuple[int, int]], n_vertices: int) -> list[int]:
+    """Vertex -> bitmask of the vertices joined to it: bit v of entry u and bit
+    u of entry v are set for each (u, v) pair; entry 0 is unused."""
+    joined = [0] * (n_vertices + 1)
     for u, v in pairs:
         joined[u] |= 1 << v
         joined[v] |= 1 << u
@@ -156,6 +164,15 @@ def _apexes(joined: list[int], u: int, v: int) -> tuple[int, int]:
     if count != 2:
         raise InvariantError(f"diagonal {u}-{v} bounds {count} triangles, expected 2")
     return (apexes & -apexes).bit_length() - 1, apexes.bit_length() - 1
+
+
+def _raise_first_crossing(diags: tuple[Arc, ...]) -> NoReturn:
+    """Name the first crossing pair of diagonals in label order, by the definition."""
+    for i, (a, b) in enumerate(diags):
+        for j, (c, d) in enumerate(diags[i + 1 :], start=i + 1):
+            if a < c < b < d or c < a < d < b:
+                raise InputError(f"diagonals {diags[i]} and {diags[j]} cross")
+    raise InvariantError("the crossing check found a crossing that no pair of diagonals makes")
 
 
 @cache
@@ -208,10 +225,13 @@ class CrossingStep(NamedTuple):
 class Triangulation:
     """A labeled triangulation of the (n+3)-gon.
 
-    ``edges[i]`` is the arc with label i+1.  Construction validates the
-    labeling convention, pairwise non-crossing of the diagonals and
-    distinctness of all arcs; with exactly n non-crossing diagonals the set is
-    automatically maximal.
+    ``edges[i]`` is the arc with label i+1.  Construction validates each
+    diagonal's vertex range once, the labeling convention, distinctness of
+    the arcs and non-crossing of the diagonals; with exactly n non-crossing
+    diagonals the set is automatically maximal.  The crossing check is a stack
+    over the diagonals sorted by (u, -v), linear after the sort; only a set
+    that fails it is searched pair by pair, so the error names the first
+    crossing pair in label order.
     """
 
     n: int
@@ -225,12 +245,14 @@ class Triangulation:
         if len(self.edges) != 2 * n + 3:
             raise InputError(f"expected {2 * n + 3} labeled arcs, got {len(self.edges)}")
         diags = self.edges[:n]
+        spans = []
         for arc in diags:
             arc.validate(nv)
             u, v = arc
             # 1 <= u < v <= nv now, so v - u is the counterclockwise step count.
             if v - u == 1 or v - u == nv - 1:
                 raise InputError(f"{arc} is a boundary edge, not a diagonal")
+            spans.append((u, -v))
         # Each boundary label must hold one fixed arc, valid by construction.
         boundary = _boundary(nv)
         if self.edges[n:] != boundary:
@@ -240,10 +262,18 @@ class Triangulation:
             )
         if len(set(diags)) != n:
             raise InputError("duplicate arcs in triangulation")
-        for i, (a, b) in enumerate(diags):
-            for j, (c, d) in enumerate(diags[i + 1 :], start=i + 1):
-                if a < c < b < d or c < a < d < b:
-                    raise InputError(f"diagonals {diags[i]} and {diags[j]} cross")
+        # Sorted by (u, -v), a diagonal comes after every diagonal that contains
+        # it.  ``ends`` holds the far ends of the diagonals still open at u,
+        # nearest on top, above a bound no vertex reaches; a diagonal crosses an
+        # open one exactly when it ends beyond the nearest open end.
+        spans.sort()
+        ends = [nv + 1]
+        for u, minus_v in spans:
+            while ends[-1] <= u:
+                ends.pop()
+            if ends[-1] < -minus_v:
+                _raise_first_crossing(diags)
+            ends.append(-minus_v)
 
     @property
     def n_vertices(self) -> int:
@@ -311,7 +341,7 @@ class Triangulation:
         built here, as in ``quadrilateral``: the fan stays the only neighbour
         table a triangulation keeps.
         """
-        joined = _joined(self._label_by_pair, [0] * (self.n_vertices + 1))
+        joined = _joined(self._label_by_pair, self.n_vertices)
         return tuple(
             (u, v, (joined[u] & joined[v]).bit_length() - 1)
             for u, v in sorted(self._label_by_pair)
@@ -323,7 +353,7 @@ class Triangulation:
         if not 1 <= k <= self.n:
             raise InputError(f"label {k} does not name a diagonal (1..{self.n})")
         d = self.edges[k - 1]
-        joined = _joined(self._label_by_pair, [0] * (self.n_vertices + 1))
+        joined = _joined(self._label_by_pair, self.n_vertices)
         replacement = _apexes(joined, *d)
         corners = tuple(sorted((*d, *replacement)))
         p0, p1, p2, p3 = corners
@@ -468,11 +498,16 @@ def all_polygon_diagonals(n: int) -> list[Arc]:
 def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
     """All triangulations of the (n+3)-gon and the flips connecting them.
 
-    Produced by breadth-first flips from the fan at vertex 1, each diagonal
-    set keyed by a bitmask; nodes come back sorted by their sorted diagonal
-    vertex-pair sets, with labels in that order, each validated once on
-    construction, and edges as index pairs into the node list.  A flip of
-    {u, v} joins its two apexes, read by ``_apexes`` from per-vertex bitmasks.
+    No search: the triangle on the side {i, j} of a sub-polygon i, i+1, ..., j
+    has an apex k that splits it into the sub-polygons i..k and k..j, so each
+    sub-polygon's triangulations are built once from narrower ones, each as a
+    bitmask over ``all_polygon_diagonals`` whose smallest diagonal holds the
+    top bit.  Every set has n members, so descending masks list the nodes by
+    their sorted diagonal sets; each node is labeled in that order and
+    validated once on construction.  Dropping a diagonal leaves one
+    quadrilateral, which has two triangulations: the flips are the pairs of
+    nodes that share a mask with one bit cleared.  Edges come back as sorted
+    index pairs into the node list.
     """
     if n < 1:
         raise InputError(f"rank must be at least 1, got {n}")
@@ -481,32 +516,41 @@ def flip_graph(n: int) -> tuple[list[Triangulation], list[tuple[int, int]]]:
             f"exhaustive enumeration is guarded at rank {MAX_ENUMERATION_RANK}, got {n}"
         )
     nv = n + 3
+    bit = {d: 1 << i for i, d in enumerate(reversed(all_polygon_diagonals(n)))}
+    # parts[i, j]: the triangulations of the sub-polygon i..j as (mask,
+    # diagonals), its side {i, j} included when that is a diagonal.
+    parts = {(i, i + 1): [(0, ())] for i in range(1, nv)}
+    for width in range(2, nv):
+        for i in range(1, nv - width + 1):
+            j = i + width
+            split = [
+                (m | m2, d + d2)
+                for k in range(i + 1, j)
+                for m, d in parts[i, k]
+                for m2, d2 in parts[k, j]
+            ]
+            side = Arc(i, j)
+            if side in bit:
+                b, one = bit[side], (side,)
+                split = [(m | b, one + d) for m, d in split]
+            parts[i, j] = split
+    found = sorted(parts[1, nv], reverse=True)
     boundary = _boundary(nv)
-    ring = _joined(boundary, [0] * (nv + 1))
-    # Each diagonal's one Arc by its pair: the search runs on plain pairs, faster to unpack.
-    arcs = {d: d for d in all_polygon_diagonals(n)}
-    bit = {d: 1 << i for i, d in enumerate(arcs)}
-    start = tuple((1, v) for v in range(3, nv))
-    # (diagonal set as a bitmask over ``bit``, its vertex pairs) in order of
-    # discovery; the list grows while it is read, so it is also the queue.
-    found = [(sum(bit[pair] for pair in start), start)]
-    ids = {found[0][0]: 0}
-    flips = []
-    for i, (mask, key) in enumerate(found):
-        joined = _joined(key, ring)
-        for j, (u, v) in enumerate(key):
-            replacement = _apexes(joined, u, v)
-            other = mask ^ bit[u, v] ^ bit[replacement]
-            k = ids.setdefault(other, len(found))
-            if k == len(found):
-                found.append((other, key[:j] + (replacement,) + key[j + 1 :]))
-            if k > i:  # each flip is met from both ends; keep it once
-                flips.append((i, k))
-    keys = [tuple(sorted(key)) for _, key in found]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = {i: r for r, i in enumerate(order)}
-    nodes = [Triangulation(n, tuple(arcs[pair] for pair in keys[i]) + boundary) for i in order]
-    edges = sorted((min(rank[i], rank[k]), max(rank[i], rank[k])) for i, k in flips)
+    nodes = [Triangulation(n, tuple(sorted(d)) + boundary) for _, d in found]
+    # A hole, a node's mask with one diagonal dropped, is shared by exactly the
+    # two ends of one flip; the first of them to meet it keeps it.
+    holes: dict[int, int] = {}
+    edges = []
+    for i, (mask, d) in enumerate(found):
+        for arc in d:
+            k = holes.setdefault(mask ^ bit[arc], i)
+            if k != i:
+                edges.append((k, i))
+    if 2 * len(edges) != n * len(nodes):
+        raise InvariantError(
+            f"{len(edges)} flips among {len(nodes)} triangulations, expected {n} at each"
+        )
+    edges.sort()
     return nodes, edges
 
 

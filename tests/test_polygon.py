@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from ptolemy import (
     flip_graph,
     snake_triangulation,
 )
+from ptolemy import polygon
 from ptolemy.polygon import _fan_step
 from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_DIAGONALS
@@ -55,6 +57,58 @@ def test_arc_is_its_sorted_pair():
         Arc(3, 3)
     pairs = [(3, 7), (1, 8), (2, 4), (1, 3), (2, 9), (2, 3)]
     assert [tuple(arc) for arc in sorted(Arc(v, u) for u, v in pairs)] == sorted(pairs)
+
+
+def test_make_and_replace_order_the_ends():
+    # Both build through ``__new__``: ends ordered, equal ends refused.
+    assert tuple(Arc(5, 1)._replace(u=9)) == (5, 9)
+    assert tuple(Arc._make((4, 2))) == (2, 4)
+    with pytest.raises(InputError, match=r"^arc endpoints must be distinct, got 1 twice$"):
+        Arc(1, 5)._replace(v=1)
+    # An unordered 4-6 would escape the crossing check against 1-5.
+    edges = (Arc(2, 4)._replace(u=6),) + snake_triangulation(3).edges[1:]
+    with pytest.raises(InputError, match=r"^diagonals 4-6 and 1-5 cross$"):
+        Triangulation(3, edges)
+
+
+class TestValidate:
+    @pytest.fixture
+    def slow_path_calls(self, monkeypatch):
+        calls = []
+        require = polygon._require_vertex
+
+        def counting_require(v, n_vertices):
+            calls.append(v)
+            require(v, n_vertices)
+
+        monkeypatch.setattr(polygon, "_require_vertex", counting_require)
+        return calls
+
+    def test_plain_ints_in_range_skip_the_vertex_checks(self, slow_path_calls):
+        Arc(1, 8).validate(8)
+        Arc(3, 5).validate(8)
+        assert slow_path_calls == []
+
+    @pytest.mark.parametrize(
+        "arc,message",
+        [
+            (Arc(0, 3), r"^vertex 0 out of range 1\.\.8$"),
+            (Arc(3, 9), r"^vertex 9 out of range 1\.\.8$"),
+            (Arc(True, 3), r"^vertex True out of range 1\.\.8$"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, slow_path_calls, arc, message):
+        with pytest.raises(InputError, match=message):
+            arc.validate(8)
+        assert slow_path_calls
+
+    def test_int_subclass_in_range_is_accepted(self, slow_path_calls):
+        class Vertex(IntEnum):
+            TWO = 2
+            FIVE = 5
+
+        Arc(Vertex.TWO, Vertex.FIVE).validate(8)
+        assert slow_path_calls == [Vertex.TWO, Vertex.FIVE]
 
 
 def test_arc_kind():
@@ -108,6 +162,22 @@ class TestCrosses:
                 assert crosses(d1, d2, nv) == crosses(d2, d1, nv)
                 if d1.is_boundary(nv):
                     assert not crosses(d1, d2, nv)
+
+
+@st.composite
+def diagonal_lists(draw):
+    """A rank n = 1..18 and n diagonals of the (n+3)-gon in random order: a
+    triangulation reached by flips from the snake, with up to four of its
+    diagonals replaced by arbitrary ones, so zero, one or several crossings."""
+    n = draw(st.integers(min_value=1, max_value=18))
+    t = snake_triangulation(n)
+    for k in draw(st.lists(st.integers(min_value=1, max_value=n), max_size=2 * n)):
+        t = t.flip(k)
+    diags = list(t.diagonal_arcs())
+    replaced = st.tuples(st.integers(0, n - 1), st.sampled_from(all_polygon_diagonals(n)))
+    for k, d in draw(st.lists(replaced, max_size=4)):
+        diags[k] = d
+    return n, draw(st.permutations(diags))
 
 
 class TestBuildTriangulation:
@@ -175,6 +245,27 @@ class TestBuildTriangulation:
                     a, b = crossing[0]
                     with pytest.raises(InputError, match=f"^diagonals {a} and {b} cross$"):
                         Triangulation(n, edges)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(diagonal_lists())
+    def test_crossing_check_matches_the_definition(self, case):
+        # Same verdict as testing every pair, and the same first pair named.
+        n, diags = case
+        nv = n + 3
+        crossing = [
+            (a, b) for i, a in enumerate(diags) for b in diags[i + 1 :] if crosses(a, b, nv)
+        ]
+        edges = tuple(diags) + snake_triangulation(n).edges[n:]
+        if len(set(diags)) < n:
+            message = "duplicate arcs in triangulation"
+        elif crossing:
+            a, b = crossing[0]
+            message = f"diagonals {a} and {b} cross"
+        else:
+            assert Triangulation(n, edges).diagonal_arcs() == tuple(diags)
+            return
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Triangulation(n, edges)
 
     def test_each_diagonal_validated_once(self, monkeypatch):
         checked = []
@@ -528,6 +619,7 @@ FLIP_GRAPH_DIGESTS = {
     5: "173316b7f2d85d5329841490f1c405f6ed73076f3c39a1759facd9245d076e75",
     6: "91f5cbbceb4f4a7289a39039ec7b7253f64147034dd720f6be9f955754973145",
     7: "3b1d7bcf01b8aeb29319cab3dcb28d90c6fe017f37f9051d1129b5b82816166c",
+    8: "2b42fc3e24fac81e62afc27d986cb0dfaa8b1592a4620c1b475c605dd06022af",
 }
 
 
@@ -570,8 +662,9 @@ class TestFlipGraph:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_flips_of_each_node_are_its_edges(self, n):
-        # The graph search and Triangulation.flip read the same apex masks:
-        # the n flips of a node reach exactly its n neighbours in ``edges``.
+        # The edges are the node pairs that share n-1 diagonals; each node's n
+        # geometric flips, by the apexes of its quadrilaterals, reach exactly
+        # its n neighbours in ``edges``.
         nodes, edges = flip_graph(n)
         index = {t.diagonal_key(): i for i, t in enumerate(nodes)}
         neighbours = [set() for _ in nodes]
@@ -589,3 +682,10 @@ class TestFlipGraph:
         assert len(nodes) == 1430
         assert sorted(degree) == list(range(1430))
         assert set(degree.values()) == {7}
+
+    def test_rank_eight_is_regular(self):
+        nodes, edges = flip_graph(8)
+        degree = Counter(v for edge in edges for v in edge)
+        assert (len(nodes), len(edges)) == (4862, 19448)
+        assert sorted(degree) == list(range(4862))
+        assert set(degree.values()) == {8}
