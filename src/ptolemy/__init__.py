@@ -19,6 +19,7 @@ from .expansion import (
     denominator_vector,
     expand,
     expand_trivial_coefficients,
+    path_entry,
 )
 from .laurent import LaurentPolynomial, Monomial, TropicalMonomial
 from .oracle import (
@@ -91,6 +92,7 @@ __all__ = [
     "flip_graph",
     "initial_coefficients",
     "is_valid_t_path",
+    "path_entry",
     "path_weight",
     "snake_triangulation",
 ]

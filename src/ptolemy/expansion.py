@@ -19,8 +19,10 @@ from .laurent import LaurentPolynomial, packed_layout
 from .polygon import Arc, CrossingStep, Triangulation, first_crossing_step
 from .tpaths import TPath, enumerate_t_paths
 
-# {(source, target): enumerate_t_paths(t, source, target)} on one triangulation.
-PathTable = Mapping[tuple[int, int], Sequence[TPath]]
+# The paths of one ordered pair and their packed weights, in the same order.
+PathEntry = tuple[Sequence[TPath], Sequence[int]]
+# {(source, target): path_entry(t, enumerate_t_paths(t, source, target))} on one t.
+PathTable = Mapping[tuple[int, int], PathEntry]
 
 
 def expand(
@@ -32,9 +34,9 @@ def expand(
     enumeration; the result is independent of the choice (asserted by the
     test suite, not assumed here) and defaults to the smaller endpoint.
     A chord already in the triangulation has the one-edge path alone, so it
-    is its own variable.  The paths are read from the table ``paths`` when
-    given (it is never changed) and weighed here; else the search enumerates
-    them and hands back their weights.
+    is its own variable.  The weights are read from the table ``paths`` when
+    given (it is never changed; see ``path_entry``); else the search
+    enumerates the paths and hands back their weights.
     """
     nv = t.n_vertices
     chord.validate(nv)
@@ -50,8 +52,23 @@ def expand(
         keys: list[int] = []
         enumerate_t_paths(t, origin, target, weights=keys)
     else:
-        keys = _weight_keys(paths[origin, target], nvars)
+        keys = _table_entry(paths, origin, target)[1]
     return LaurentPolynomial.from_keys(nvars, keys)
+
+
+def path_entry(t: Triangulation, paths: Sequence[TPath]) -> PathEntry:
+    """A path-table entry: paths on ``t`` and their packed weights in its variables.
+
+    A label outside 1..2n+3 raises ``InputError``.
+    """
+    return paths, _weight_keys(paths, t.n_labels)
+
+
+def _table_entry(paths: PathTable, source: int, target: int) -> PathEntry:
+    try:
+        return paths[source, target]
+    except KeyError:
+        raise InputError(f"the path table has no entry for {source}->{target}") from None
 
 
 def _weight_keys(paths: Sequence[TPath], nvars: int) -> list[int]:
@@ -107,25 +124,33 @@ def denominator_vector(
 
 def _paths_between(
     t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
-) -> Sequence[TPath]:
-    """Path set between any two distinct vertices, read from ``paths`` when given.
+) -> PathEntry:
+    """Paths between any two distinct vertices and their weights, read from
+    ``paths`` when given.
 
     Adjacent vertices get the single one-edge path along their boundary edge,
     which is what the one-step exchange identity needs for its far sides; a
     table holds diagonals only.
     """
-    boundary = Arc(source, target)
-    if boundary.is_boundary(t.n_vertices):
+    nv = t.n_vertices
+    if (target - source) % nv in (1, nv - 1):  # Arc.is_boundary, without building the arc
+        boundary = Arc(source, target)
         label = t.label_of(boundary)
         if label is None:
             raise InvariantError(f"boundary edge {boundary} has no label")
-        return [TPath((source, target), (label,))]
+        zero, units = packed_layout(t.n_labels)
+        return [TPath((source, target), (label,))], [zero + units[label]]
     if paths is None:
-        return enumerate_t_paths(t, source, target)
-    return paths[source, target]
+        return path_entry(t, enumerate_t_paths(t, source, target))
+    return _table_entry(paths, source, target)
 
 
-def _step_or_raise(t: Triangulation, source: int, target: int) -> CrossingStep:
+def _step_or_raise(
+    t: Triangulation, source: int, target: int, step: CrossingStep | None
+) -> CrossingStep:
+    """``step`` when given, else the crossing step read off the triangulation."""
+    if step is not None:
+        return step
     step = first_crossing_step(t, Arc(source, target), source)
     if step is None:
         raise InputError(
@@ -147,13 +172,20 @@ class PartitionReport:
 
 
 def check_partitions(
-    t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
+    t: Triangulation,
+    source: int,
+    target: int,
+    *,
+    paths: PathTable | None = None,
+    step: CrossingStep | None = None,
 ) -> PartitionReport:
     """Every path starts with one of the two triangle sides at the source, and
     each family splits by whether the pivot comes second or never appears.
-    ``paths`` is as for ``expand``."""
-    step = _step_or_raise(t, source, target)
-    found = _paths_between(t, source, target, paths=paths)
+    ``paths`` is as for ``expand``.  ``step`` is the chord's
+    ``first_crossing_step`` from ``source`` when the caller has it; it is
+    trusted as given, and without it the step is read here."""
+    step = _step_or_raise(t, source, target, step)
+    found = _paths_between(t, source, target, paths=paths)[0]
     first_edges = (step.cw_side, step.ccw_side)
     by_first = {step.cw_side: 0, step.ccw_side: 0}
     failures = []
@@ -190,7 +222,12 @@ class BijectionReport:
 
 
 def check_bijections_fg(
-    t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
+    t: Triangulation,
+    source: int,
+    target: int,
+    *,
+    paths: PathTable | None = None,
+    step: CrossingStep | None = None,
 ) -> BijectionReport:
     """Verify the two weight-preserving bijections behind the one-step recursion.
 
@@ -201,16 +238,16 @@ def check_bijections_fg(
     must land in the claimed subfamilies, be distinct, jointly exhaust the
     family, and scale each weight by side/pivot; the two sides together must
     also account for every source path and for the summed polynomials.
-    ``paths`` is as for ``expand``; the corner path sets are read from it too.
+    ``paths`` is as for ``expand``; the corner path sets and their weights
+    are read from it too.  ``step`` is as for ``check_partitions``.
     """
-    step = _step_or_raise(t, source, target)
-    nvars = t.n_labels
-    _, units = packed_layout(nvars)
-    found = _paths_between(t, source, target, paths=paths)
-    weight = dict(zip(found, _weight_keys(found, nvars)))
+    step = _step_or_raise(t, source, target, step)
+    pivot = step.pivot
+    _, units = packed_layout(t.n_labels)
+    found, found_weights = _paths_between(t, source, target, paths=paths)
+    weight = dict(zip(found, found_weights))
     failures: list[str] = []
     counts: dict[str, int] = {"total": len(found)}
-    family_sum: dict[int, LaurentPolynomial] = {}
     corner_total = 0
 
     sides = (
@@ -220,51 +257,52 @@ def check_bijections_fg(
         (step.cw_corner, step.ccw_side, step.ccw_corner),
     )
     for corner, side, via in sides:
-        corner_paths = _paths_between(t, corner, target, paths=paths)
+        corner_paths, corner_weights = _paths_between(t, corner, target, paths=paths)
         corner_total += len(corner_paths)
-        family = [p for p in found if p.labels[0] == side]
-        family_sum[side] = LaurentPolynomial.from_keys(nvars, [weight[p] for p in family])
-        counts[f"family_{side}"] = len(family)
+        family = {p for p in found if p.labels[0] == side}
+        family_weights = [w for p, w in zip(found, found_weights) if p.labels[0] == side]
+        counts[f"family_{side}"] = len(family_weights)
         counts[f"corner_{corner}"] = len(corner_paths)
-        ratio = units[side] - units[step.pivot]
-        transported_weights = [w + ratio for w in _weight_keys(corner_paths, nvars)]
+        ratio = units[side] - units[pivot]
+        transported_weights = [w + ratio for w in corner_weights]
         images = []
         for gamma, transported_weight in zip(corner_paths, transported_weights):
-            if gamma.labels[0] == step.pivot:
+            if gamma.labels[0] == pivot:
                 vertices, labels = (source,) + gamma.vertices[1:], (side,) + gamma.labels[1:]
                 expected_family = "pivot-free"
-                in_family = step.pivot not in labels
-            elif step.pivot not in gamma.labels:
-                vertices, labels = (source, via) + gamma.vertices, (side, step.pivot) + gamma.labels
+                in_family = pivot not in labels
+            elif pivot not in gamma.labels:
+                vertices, labels = (source, via) + gamma.vertices, (side, pivot) + gamma.labels
                 expected_family = "pivot-second"
-                in_family = len(labels) > 1 and labels[1] == step.pivot
+                in_family = len(labels) > 1 and labels[1] == pivot
             else:
                 failures.append(
-                    f"{gamma} from corner {corner} contains the pivot {step.pivot} "
-                    "after its first edge"
+                    f"{gamma} from corner {corner} contains the pivot {pivot} after its first edge"
                 )
                 continue
             image = TPath(vertices, labels)
-            if image not in weight:
+            image_weight = weight.get(image)
+            if image_weight is None:
                 failures.append(f"image {image} of {gamma} is not an admissible path")
                 continue
             if not in_family:
                 failures.append(f"image {image} of {gamma} missed the {expected_family} family")
-            if weight[image] != transported_weight:
-                failures.append(f"weight of {image} is not weight({gamma})*x{side}/x{step.pivot}")
+            if image_weight != transported_weight:
+                failures.append(f"weight of {image} is not weight({gamma})*x{side}/x{pivot}")
             images.append(image)
-        if len(set(images)) != len(images):
+        distinct = set(images)
+        if len(distinct) != len(images):
             failures.append(f"images from corner {corner} collide")
-        if set(images) != set(family):
+        if distinct != family:
             failures.append(
                 f"images from corner {corner} do not exhaust the paths starting with {side}"
             )
-        transported = LaurentPolynomial.from_keys(nvars, transported_weights)
-        if transported != family_sum[side]:
+        # Equal sums of unit monomials: the same keys, each as often.
+        if sorted(transported_weights) != sorted(family_weights):
             failures.append(f"summed weights from corner {corner} mismatch family {side}")
 
     if corner_total != len(found):
         failures.append(
             f"corner path counts {corner_total} do not add up to {len(found)}"
         )
-    return BijectionReport(ok=not failures, pivot=step.pivot, counts=counts, failures=failures)
+    return BijectionReport(ok=not failures, pivot=pivot, counts=counts, failures=failures)

@@ -2,25 +2,27 @@
 
 One pass visits every triangulation of the (n+3)-gon and, in it, every
 diagonal once.  Per triangulation it enumerates the paths for both
-orientations of every diagonal into one table, which every row reads through
+orientations of every diagonal into one table, weighing each entry's paths
+once as it is made (``path_entry``), and every row reads that table through
 the ``paths=`` argument of the expansion checks.  Each diagonal is expanded
 once from its smaller endpoint; the agreement row compares that polynomial
 with the expansion from the other endpoint and with both recursion
-orientations, and the unit-coefficient and denominator rows read it as it
-is (``denominator_vector``'s ``poly=``).  The path-set oracle gets a
-table of its own, filled one source vertex at a time by a single brute-force
-walk to all of that vertex's targets (fixed for the sweep), and only while
-its row is running, so a skipped or failed row walks nothing.  The partition
-and bijection rows read each crossing step off the fan at its origin
-(``first_crossing_step``), and nothing keeps it.  The exchange recursion
-reads its steps from the fan directly and keeps its polynomials per call,
-one call per orientation; apart from the chord itself the two orientations
-step disjoint arcs, so the agreement row still tests that the expansion does
-not depend on the orientation.  Each row counts its
-instances (both orientations where orientation matters) and stops at its
-first failure, as if it ran alone.  The quick level covers the expansion/recursion agreement
-and its structural consequences; the full level adds the path-set oracle and
-the partition and bijection checks at the ranks where their guards allow.
+orientations, and the unit-coefficient and denominator rows read it as it is
+(``denominator_vector``'s ``poly=``).  The path-set oracle gets a table of
+its own, filled one source vertex at a time by a single brute-force walk to
+all of that vertex's targets (fixed for the sweep), and only while its row
+is running, so a skipped or failed row walks nothing.  Each crossed oriented
+chord's crossing step is read once (``first_crossing_step``) and handed to
+both the partition and the bijection row (``step=``); nothing keeps it past
+that chord.  The exchange recursion reads its steps from the fan directly
+and keeps its polynomials per call, one call per orientation; apart from the
+chord itself the two orientations step disjoint arcs, so the agreement row
+still tests that the expansion does not depend on the orientation.  Each row
+counts its instances (both orientations where orientation matters) and stops
+at its first failure, as if it ran alone; a failure's detail is formatted
+only then.  The quick level covers the expansion/recursion agreement and its
+structural consequences; the full level adds the path-set oracle and the
+partition and bijection checks at the ranks where their guards allow.
 """
 
 from __future__ import annotations
@@ -36,9 +38,15 @@ from .expansion import (
     check_positivity,
     denominator_vector,
     expand,
+    path_entry,
 )
 from .oracle import cluster_variable_recursive
-from .polygon import MAX_ENUMERATION_RANK, all_polygon_diagonals, all_triangulations
+from .polygon import (
+    MAX_ENUMERATION_RANK,
+    all_polygon_diagonals,
+    all_triangulations,
+    first_crossing_step,
+)
 from .tpaths import MAX_BRUTE_FORCE_RANK, TPath, brute_force_t_path_table, enumerate_t_paths
 
 LEVELS = ("quick", "full")
@@ -84,46 +92,47 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
     while pending:
         # Each triangulation, and the crossing tables kept on it, goes after its pass.
         t = pending.popleft()
-        # Formatted once per triangulation; the details below show it only on a failure.
-        key = str(t.diagonal_key())
         brute: dict[int, dict[int, list[TPath]]] = {}
         table = {
-            (source, target): enumerate_t_paths(t, source, target)
+            (source, target): path_entry(t, enumerate_t_paths(t, source, target))
             for chord in diagonals
             for source, target in ((chord.u, chord.v), (chord.v, chord.u))
         }
+        # The failure details below are formatted only when a row fails.
         for chord in diagonals:
-            where = f"{chord} in {key}"
             seeded = t.contains(chord)
             poly = expand(t, chord, paths=table)
             if _running(recursion):
                 others = [expand(t, chord, chord.v, paths=table)]
                 others += [cluster_variable_recursive(t, chord, o) for o in chord.endpoints()]
-                _tally(recursion, where if any(p != poly for p in others) else None)
+                same = all(p == poly for p in others)
+                _tally(recursion, None if same else f"{chord} in {t.diagonal_key()}")
             if _running(units) and not seeded:
-                ok = check_positivity(poly) and len(poly) == len(table[chord.u, chord.v])
-                _tally(units, None if ok else where)
+                ok = check_positivity(poly) and len(poly) == len(table[chord.u, chord.v][0])
+                _tally(units, None if ok else f"{chord} in {t.diagonal_key()}")
             if _running(denominators):
                 failure = None
                 try:
                     denominator_vector(t, chord, poly=poly)
                 except InvariantError:
-                    failure = where
+                    failure = f"{chord} in {t.diagonal_key()}"
                 _tally(denominators, failure)
             for origin in chord.endpoints():
                 target = chord.other_end(origin)
                 if _running(oracle):
                     if origin not in brute:
                         brute[origin] = brute_force_t_path_table(t, origin, targets[origin])
-                    same = set(table[origin, target]) == set(brute[origin][target])
-                    _tally(oracle, None if same else f"{origin}->{target} in {key}")
-                if seeded:
+                    same = set(table[origin, target][0]) == set(brute[origin][target])
+                    _tally(oracle, None if same else f"{origin}->{target} in {t.diagonal_key()}")
+                if seeded or not (_running(partitions) or _running(bijections)):
                     continue
+                # One step for both rows.
+                step = first_crossing_step(t, chord, origin)
                 if _running(partitions):
-                    report = check_partitions(t, origin, target, paths=table)
+                    report = check_partitions(t, origin, target, paths=table, step=step)
                     _tally(partitions, None if report.ok else report.failures[0])
                 if _running(bijections):
-                    report = check_bijections_fg(t, origin, target, paths=table)
+                    report = check_bijections_fg(t, origin, target, paths=table, step=step)
                     _tally(bijections, None if report.ok else report.failures[0])
     return rows
 

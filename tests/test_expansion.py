@@ -1,5 +1,9 @@
 """Expansion values, trivial-coefficient specialization, structural checks."""
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from ptolemy import (
@@ -10,19 +14,26 @@ from ptolemy import (
     TPath,
     all_polygon_diagonals,
     all_triangulations,
+    build_triangulation,
     check_bijections_fg,
     check_partitions,
     check_positivity,
     denominator_vector,
+    enumerate_t_paths,
     expand,
     expand_trivial_coefficients,
+    first_crossing_step,
+    path_entry,
 )
 from conftest import (
     OCTAGON_TERMS,
     OCTAGON_TRIVIAL_TERMS,
     exponents,
     poly_from_sparse,
+    run_optimized,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def instances_without_chord(max_rank):
@@ -62,9 +73,9 @@ class TestExpand:
 
     @pytest.mark.parametrize("bad", [0, 14])
     def test_table_path_with_out_of_range_label(self, octagon, bad):
-        table = {(3, 7): [TPath((3, 2, 6, 7), (7, bad, 11))]}
+        # The label is refused where the table entry is weighed.
         with pytest.raises(InputError, match=f"^label {bad} out of range 1..13$"):
-            expand(octagon, Arc(3, 7), paths=table)
+            path_entry(octagon, [TPath((3, 2, 6, 7), (7, bad, 11))])
 
     def test_orientation_independent(self):
         for n in range(1, 4):
@@ -176,3 +187,146 @@ class TestBijections:
         for t, chord, origin in instances_without_chord(3):
             report = check_bijections_fg(t, origin, chord.other_end(origin))
             assert report.ok, report.failures
+
+
+def path_table(t, corrupt=None):
+    """The sweep's path table of t; ``corrupt`` rewrites the path lists first."""
+    paths = {
+        (a, b): enumerate_t_paths(t, a, b)
+        for chord in all_polygon_diagonals(t.n)
+        for a, b in ((chord.u, chord.v), (chord.v, chord.u))
+    }
+    if corrupt is not None:
+        paths = corrupt(paths)
+    return {pair: path_entry(t, found) for pair, found in paths.items()}
+
+
+def corrupted(pair, how):
+    """A rewrite of one pair's path list: its last path dropped, that path's
+    first two labels swapped, its first path repeated at the end, or its last
+    path replaced by the last path of the fullest other entry from the same
+    source."""
+
+    def corrupt(paths):
+        found = list(paths[pair])
+        if how == "drop":
+            found = found[:-1]
+        elif how == "swap":
+            last = found[-1]
+            found[-1] = TPath(last.vertices, (last.labels[1], last.labels[0]) + last.labels[2:])
+        elif how == "duplicate":
+            found = found + found[:1]
+        else:
+            other = max(
+                (p for p in paths if p[0] == pair[0] and p != pair), key=lambda p: len(paths[p])
+            )
+            found[-1] = paths[other][-1]
+        return {**paths, pair: found}
+
+    return corrupt
+
+
+# Per rank, a triangulation and the chord with the most paths.
+CORRUPTED_CASES = {
+    3: ([(1, 3), (1, 4), (4, 6)], (2, 5)),
+    4: ([(1, 3), (1, 4), (4, 7), (5, 7)], (2, 6)),
+}
+
+
+def corrupted_reports():
+    """Both reports for each corruption of the chord's entry, from either end,
+    and of each far corner's entry, as JSON values."""
+    out = {}
+    for n, (diagonals, (u, v)) in CORRUPTED_CASES.items():
+        t = build_triangulation(n, diagonals)
+        step = first_crossing_step(t, Arc(u, v), u)
+        for source, target, where in (
+            (u, v, (u, v)),
+            (v, u, (v, u)),
+            (u, v, (step.ccw_corner, v)),
+            (u, v, (step.cw_corner, v)),
+        ):
+            for how in ("drop", "swap", "duplicate", "foreign"):
+                table = path_table(t, corrupted(where, how))
+                reports = {
+                    "partition": check_partitions(t, source, target, paths=table),
+                    "bijection": check_bijections_fg(t, source, target, paths=table),
+                }
+                name = f"{n} {source}->{target}, {how} at {where[0]}->{where[1]}"
+                out[name] = json.loads(json.dumps({k: asdict(r) for k, r in reports.items()}))
+    return out
+
+
+class TestCorruptedTables:
+    def test_reports_are_pinned(self):
+        # Every field of both reports, failures in order, as the checks gave
+        # them when each weighed its own table paths.
+        pinned = json.loads((GOLDEN / "corrupted_table_reports.json").read_text())
+        reports = corrupted_reports()
+        assert list(reports) == list(pinned)
+        assert reports == pinned
+
+    def test_given_step_gives_the_same_reports(self):
+        diagonals = all_polygon_diagonals(4)
+        for t in all_triangulations(4):
+            table = path_table(t)
+            for chord in diagonals:
+                if t.contains(chord):
+                    continue
+                for origin in chord.endpoints():
+                    target = chord.other_end(origin)
+                    step = first_crossing_step(t, chord, origin)
+                    for check in (check_partitions, check_bijections_fg):
+                        given = check(t, origin, target, paths=table, step=step)
+                        assert given == check(t, origin, target, paths=table)
+                        assert given.ok
+
+    def test_other_orientations_step_fails(self):
+        diagonals = all_polygon_diagonals(4)
+        for t in all_triangulations(4):
+            table = path_table(t)
+            for chord in diagonals:
+                if t.contains(chord):
+                    continue
+                for origin in chord.endpoints():
+                    target = chord.other_end(origin)
+                    step = first_crossing_step(t, chord, target)
+                    for check in (check_partitions, check_bijections_fg):
+                        assert not check(t, origin, target, paths=table, step=step).ok
+
+
+def missing_pair_errors(t):
+    """The InputError text of each table lookup that misses, on the octagon."""
+    own = {(3, 7): path_entry(t, enumerate_t_paths(t, 3, 7))}
+    calls = (
+        lambda: expand(t, Arc(3, 7), paths={}),
+        lambda: check_partitions(t, 3, 7, paths={}),
+        lambda: check_bijections_fg(t, 3, 7, paths={}),
+        # The chord's own entry is there; its first far corner's is not.
+        lambda: check_bijections_fg(t, 3, 7, paths=own),
+    )
+    errors = []
+    for call in calls:
+        try:
+            call()
+        except InputError as exc:
+            errors.append(str(exc))
+    return errors
+
+
+MISSING_PAIR_ERRORS = [f"the path table has no entry for {pair}" for pair in ["3->7"] * 3 + ["4->7"]]
+
+
+class TestMissingPair:
+    def test_named_in_an_input_error(self, octagon):
+        assert missing_pair_errors(octagon) == MISSING_PAIR_ERRORS
+
+    def test_named_under_optimization(self):
+        out = run_optimized(
+            "from ptolemy import build_triangulation\n"
+            "from conftest import OCTAGON_DIAGONALS\n"
+            "from test_expansion import missing_pair_errors\n"
+            "for error in missing_pair_errors(build_triangulation(5, OCTAGON_DIAGONALS)):\n"
+            "    print(error)\n"
+        )
+        assert out.splitlines() == MISSING_PAIR_ERRORS

@@ -28,7 +28,7 @@ from ptolemy import (
     path_weight,
     snake_triangulation,
 )
-from ptolemy.expansion import _weight_keys
+from ptolemy.expansion import _weight_keys, path_entry
 from ptolemy.tpaths import crossing_keys
 from conftest import OCTAGON_PATHS, exponents, run_optimized
 
@@ -512,4 +512,5 @@ class TestWeights:
             assert paths == enumerate_t_paths(t, source, target)
             assert weights == _weight_keys(paths, t.n_labels)
             chord = Arc(source, target)
-            assert expand(t, chord, source) == expand(t, chord, source, paths={(source, target): paths})
+            table = {(source, target): path_entry(t, paths)}
+            assert expand(t, chord, source) == expand(t, chord, source, paths=table)

@@ -380,6 +380,30 @@ def test_sweep_builds_one_crossing_table_per_oriented_chord():
     assert len(crossed) == 3 * len(built)
 
 
+def test_sweep_weighs_each_table_entry_and_reads_each_step_once():
+    honest_weights, honest_step = ptolemy.expansion._weight_keys, ptolemy.polygon.first_crossing_step
+    weighed = []
+    stepped = []
+
+    def counted_weights(paths, nvars):
+        weighed.append(paths)
+        return honest_weights(paths, nvars)
+
+    def counted_step(t, chord, origin):
+        stepped.append((t.diagonal_key(), chord, origin))
+        return honest_step(t, chord, origin)
+
+    with injected(honest_weights, counted_weights), injected(honest_step, counted_step):
+        assert all_pass(run_checks(3, "full"))
+    # 14 triangulations of the hexagon, 9 diagonals, both orientations of
+    # each: one weighing per table entry, however many rows read it
+    assert len(weighed) == 2 * 9 * 14
+    # 6 of the 9 diagonals cross each triangulation: one step per crossed
+    # oriented chord, for both the partition and the bijection row
+    assert len(stepped) == 2 * 6 * 14
+    assert len(set(stepped)) == len(stepped)
+
+
 def test_partition_and_bijection_checks_pass_without_a_path_table():
     # The sweep hands both checks its path table; here each enumerates its own.
     diagonals = all_polygon_diagonals(4)
