@@ -22,7 +22,6 @@ from typing import NoReturn
 
 from .errors import InputError, ResourceLimitError
 from .expansion import expand, expand_trivial_coefficients
-from .laurent import LaurentPolynomial
 from .oracle import exchange_matrix, initial_coefficients
 from .polygon import (
     MAX_MATRIX_RANK,
@@ -152,14 +151,6 @@ def _structured(n: int, **fields: object) -> str:
     return json.dumps(
         {"format_version": FORMAT_VERSION, "labeling": LABELING, "n": n, **fields}, indent=2
     )
-
-
-def polynomial_from_payload(payload: dict) -> LaurentPolynomial:
-    """Rebuild the polynomial from a structured expand payload."""
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise InputError(f"unsupported format_version {payload.get('format_version')!r}")
-    nvars = 2 * int(payload["n"]) + 3
-    return LaurentPolynomial.from_term_list(nvars, payload["terms"])
 
 
 def _problem(args: argparse.Namespace) -> tuple[ProblemSpec, Triangulation, Arc, int]:

@@ -1,12 +1,17 @@
 """Laurent expansion of a chord's cluster variable as a sum over paths.
 
 ``expand`` sums the weight monomials of all admissible paths between the
-chord's endpoints.  The remaining functions turn the structural facts behind
-that formula into executable checks: the expansion's denominators match the
-crossing pattern, the paths partition by their first edge, and the two path
-families are in weight-preserving bijection with the path sets of the
-quadrilateral's far sides.  The checks return reports naming each offending
-path so a search bug is diagnosable, not just detectable.
+chord's endpoints.  Those weights are the ones the search carries as it walks
+(``enumerate_t_paths(..., weights=)``), and nothing here weighs a path again:
+``path_entry(t, source, target)`` makes a path-table entry from one search,
+and ``expand`` and the checks read paths and weights through one lookup, from
+a table when given, else from an entry made on the spot.  The remaining
+functions turn the structural facts behind that formula into executable
+checks: the expansion's denominators match the crossing pattern, the paths
+partition by their first edge, and the two path families are in
+weight-preserving bijection with the path sets of the quadrilateral's far
+sides.  The checks return reports naming each offending path so a search bug
+is diagnosable, not just detectable.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .tpaths import TPath, enumerate_t_paths
 
 # The paths of one ordered pair and their packed weights, in the same order.
 PathEntry = tuple[Sequence[TPath], Sequence[int]]
-# {(source, target): path_entry(t, enumerate_t_paths(t, source, target))} on one t.
+# {(source, target): path_entry(t, source, target)} on one t.
 PathTable = Mapping[tuple[int, int], PathEntry]
 
 
@@ -35,8 +40,8 @@ def expand(
     test suite, not assumed here) and defaults to the smaller endpoint.
     A chord already in the triangulation has the one-edge path alone, so it
     is its own variable.  The weights are read from the table ``paths`` when
-    given (it is never changed; see ``path_entry``); else the search
-    enumerates the paths and hands back their weights.
+    given (it is never changed, and its entries are trusted as given; see
+    ``path_entry``); else from an entry made here.
     """
     nv = t.n_vertices
     chord.validate(nv)
@@ -46,22 +51,15 @@ def expand(
         origin = chord.u
     elif not chord.is_incident(origin):
         raise InputError(f"{origin} is not an endpoint of {chord}")
-    nvars = t.n_labels
-    target = chord.other_end(origin)
-    if paths is None:
-        keys: list[int] = []
-        enumerate_t_paths(t, origin, target, weights=keys)
-    else:
-        keys = _table_entry(paths, origin, target)[1]
-    return LaurentPolynomial.from_keys(nvars, keys)
+    keys = _paths_between(t, origin, chord.other_end(origin), paths=paths)[1]
+    return LaurentPolynomial.from_keys(t.n_labels, keys)
 
 
-def path_entry(t: Triangulation, paths: Sequence[TPath]) -> PathEntry:
-    """A path-table entry: paths on ``t`` and their packed weights in its variables.
-
-    A label outside 1..2n+3 raises ``InputError``.
-    """
-    return paths, _weight_keys(paths, t.n_labels)
+def path_entry(t: Triangulation, source: int, target: int) -> PathEntry:
+    """A path-table entry: the paths from source to target on ``t`` and the
+    packed weights the search carried for them, in its variables."""
+    weights: list[int] = []
+    return enumerate_t_paths(t, source, target, weights=weights), weights
 
 
 def _table_entry(paths: PathTable, source: int, target: int) -> PathEntry:
@@ -69,19 +67,6 @@ def _table_entry(paths: PathTable, source: int, target: int) -> PathEntry:
         return paths[source, target]
     except KeyError:
         raise InputError(f"the path table has no entry for {source}->{target}") from None
-
-
-def _weight_keys(paths: Sequence[TPath], nvars: int) -> list[int]:
-    """Packed weight of each path: odd-position labels up, even-position labels down."""
-    zero, units = packed_layout(nvars)
-    unit = units.__getitem__
-    try:
-        return [
-            zero + sum(map(unit, p.labels[::2])) - sum(map(unit, p.labels[1::2]))
-            for p in paths
-        ]
-    except KeyError as exc:
-        raise InputError(f"label {exc.args[0]} out of range 1..{nvars}") from None
 
 
 def expand_trivial_coefficients(
@@ -126,7 +111,7 @@ def _paths_between(
     t: Triangulation, source: int, target: int, *, paths: PathTable | None = None
 ) -> PathEntry:
     """Paths between any two distinct vertices and their weights, read from
-    ``paths`` when given.
+    ``paths`` when given, else from a new ``path_entry``.
 
     Adjacent vertices get the single one-edge path along their boundary edge,
     which is what the one-step exchange identity needs for its far sides; a
@@ -141,7 +126,7 @@ def _paths_between(
         zero, units = packed_layout(t.n_labels)
         return [TPath((source, target), (label,))], [zero + units[label]]
     if paths is None:
-        return path_entry(t, enumerate_t_paths(t, source, target))
+        return path_entry(t, source, target)
     return _table_entry(paths, source, target)
 
 

@@ -138,6 +138,18 @@ def _unpack(key: int, nvars: int) -> Exponents:
     return _signed_bytes(nvars).unpack(key.to_bytes(nvars, "big").translate(_SIGNED_EXPONENT))
 
 
+def _term_of(item: Mapping) -> tuple[Exponents, int]:
+    """The (exponents, coefficient) pair of one ``to_term_list`` item; bools and
+    floats are refused, not rounded."""
+    try:
+        coeff, exps = item["coefficient"], tuple(item["exponents"])
+    except (KeyError, TypeError):
+        raise InputError(f"term {item!r} needs a coefficient and a list of exponents") from None
+    if type(coeff) is not int or not all(type(e) is int for e in exps):
+        raise InputError(f"term {item!r} has a coefficient or exponent that is not an integer")
+    return exps, coeff
+
+
 def render_factors(exponents: Exponents) -> list[str]:
     """Factor strings like x7 or x3^-1: positive powers first, ascending index."""
     pos = []
@@ -366,10 +378,8 @@ class LaurentPolynomial:
 
     @classmethod
     def from_term_list(cls, nvars: int, items: Iterable[Mapping]) -> "LaurentPolynomial":
-        return cls(
-            nvars,
-            ((tuple(item["exponents"]), int(item["coefficient"])) for item in items),
-        )
+        """Inverse of ``to_term_list``; a malformed item raises ``InputError`` naming it."""
+        return cls(nvars, (_term_of(item) for item in items))
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.nvars}, {self.render()!r})"

@@ -2,8 +2,8 @@
 
 One pass visits every triangulation of the (n+3)-gon and, in it, every
 diagonal once.  Per triangulation it enumerates the paths for both
-orientations of every diagonal into one table, weighing each entry's paths
-once as it is made (``path_entry``), and every row reads that table through
+orientations of every diagonal into one table, each entry holding the weights
+its search carried (``path_entry``), and every row reads that table through
 the ``paths=`` argument of the expansion checks.  Each diagonal is expanded
 once from its smaller endpoint; the agreement row compares that polynomial
 with the expansion from the other endpoint and with both recursion
@@ -47,7 +47,7 @@ from .polygon import (
     all_triangulations,
     first_crossing_step,
 )
-from .tpaths import MAX_BRUTE_FORCE_RANK, TPath, brute_force_t_path_table, enumerate_t_paths
+from .tpaths import MAX_BRUTE_FORCE_RANK, TPath, brute_force_t_path_table
 
 LEVELS = ("quick", "full")
 
@@ -94,7 +94,7 @@ def run_checks(n: int, level: str = "full") -> list[CheckRow]:
         t = pending.popleft()
         brute: dict[int, dict[int, list[TPath]]] = {}
         table = {
-            (source, target): path_entry(t, enumerate_t_paths(t, source, target))
+            (source, target): path_entry(t, source, target)
             for chord in diagonals
             for source, target in ((chord.u, chord.v), (chord.v, chord.u))
         }

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import ptolemy
-from ptolemy import LaurentPolynomial, build_triangulation
+from ptolemy import LaurentPolynomial, build_triangulation, path_weight
+from ptolemy.laurent import packed_layout
 
 # The worked octagon instance used throughout: rank 5, five labeled diagonals,
 # expansion target 3-7 anchored at vertex 3.
@@ -74,6 +75,16 @@ def exponents(nvars, powers):
 def poly_from_sparse(nvars, sparse_terms):
     """Polynomial with coefficient 1 on each of the given sparse exponent maps."""
     return LaurentPolynomial(nvars, ((exponents(nvars, powers), 1) for powers in sparse_terms))
+
+
+def reference_weights(t, paths):
+    """Packed weight (see ``packed_layout``) of each path on t, read off its
+    labels by ``path_weight``: the tests' weigher, apart from the search's own."""
+    zero, units = packed_layout(t.n_labels)
+    return [
+        zero + sum(units[i] * e for i, e in enumerate(path_weight(p, t.n_labels).exponents, 1))
+        for p in paths
+    ]
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from ptolemy import (
     initial_coefficients,
     snake_triangulation,
 )
-from ptolemy.cli import main, polynomial_from_payload
+from ptolemy.cli import main
 from conftest import (
     OCTAGON_DIAGONALS,
     OCTAGON_PATHS,
@@ -52,7 +52,8 @@ def test_criterion_1_worked_example_via_cli(capsys):
     code = main(["expand", *OCTAGON_ARGS, "--format", "structured"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    poly = polynomial_from_payload(payload)
+    assert payload["format_version"] == 1
+    poly = LaurentPolynomial.from_term_list(13, payload["terms"])
     assert poly == poly_from_sparse(13, OCTAGON_TERMS)
     assert poly.coefficients() == [1, 1, 1, 1, 1]
 

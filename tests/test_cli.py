@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import ptolemy.cli
-from ptolemy import Arc, build_triangulation, expand
-from ptolemy.cli import _build_parser, main, polynomial_from_payload
+from ptolemy import Arc, LaurentPolynomial, build_triangulation, expand
+from ptolemy.cli import _build_parser, main
 from ptolemy.polygon import MAX_MATRIX_RANK
 from conftest import (
     OCTAGON_DIAGONALS,
@@ -59,8 +59,9 @@ class TestExpand:
         assert payload["n"] == 5
         assert payload["target"] == [3, 7]
         assert payload["origin"] == 3
+        assert payload["format_version"] == 1
         t = build_triangulation(5, OCTAGON_DIAGONALS)
-        assert polynomial_from_payload(payload) == expand(t, Arc(3, 7))
+        assert LaurentPolynomial.from_term_list(13, payload["terms"]) == expand(t, Arc(3, 7))
 
     def test_orient_flag(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "expand", *OCTAGON_ARGS, "--orient", "3")

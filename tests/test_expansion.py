@@ -19,7 +19,6 @@ from ptolemy import (
     check_partitions,
     check_positivity,
     denominator_vector,
-    enumerate_t_paths,
     expand,
     expand_trivial_coefficients,
     first_crossing_step,
@@ -30,6 +29,7 @@ from conftest import (
     OCTAGON_TRIVIAL_TERMS,
     exponents,
     poly_from_sparse,
+    reference_weights,
     run_optimized,
 )
 
@@ -70,12 +70,6 @@ class TestExpand:
     def test_bad_origin(self, octagon):
         with pytest.raises(InputError):
             expand(octagon, Arc(3, 7), 4)
-
-    @pytest.mark.parametrize("bad", [0, 14])
-    def test_table_path_with_out_of_range_label(self, octagon, bad):
-        # The label is refused where the table entry is weighed.
-        with pytest.raises(InputError, match=f"^label {bad} out of range 1..13$"):
-            path_entry(octagon, [TPath((3, 2, 6, 7), (7, bad, 11))])
 
     def test_orientation_independent(self):
         for n in range(1, 4):
@@ -190,15 +184,17 @@ class TestBijections:
 
 
 def path_table(t, corrupt=None):
-    """The sweep's path table of t; ``corrupt`` rewrites the path lists first."""
-    paths = {
-        (a, b): enumerate_t_paths(t, a, b)
+    """The sweep's path table of t; ``corrupt`` rewrites the path lists, each
+    then weighed by the reference weigher."""
+    table = {
+        (a, b): path_entry(t, a, b)
         for chord in all_polygon_diagonals(t.n)
         for a, b in ((chord.u, chord.v), (chord.v, chord.u))
     }
-    if corrupt is not None:
-        paths = corrupt(paths)
-    return {pair: path_entry(t, found) for pair, found in paths.items()}
+    if corrupt is None:
+        return table
+    paths = corrupt({pair: found for pair, (found, _) in table.items()})
+    return {pair: (found, reference_weights(t, found)) for pair, found in paths.items()}
 
 
 def corrupted(pair, how):
@@ -297,7 +293,7 @@ class TestCorruptedTables:
 
 def missing_pair_errors(t):
     """The InputError text of each table lookup that misses, on the octagon."""
-    own = {(3, 7): path_entry(t, enumerate_t_paths(t, 3, 7))}
+    own = {(3, 7): path_entry(t, 3, 7)}
     calls = (
         lambda: expand(t, Arc(3, 7), paths={}),
         lambda: check_partitions(t, 3, 7, paths={}),

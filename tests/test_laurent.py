@@ -239,6 +239,11 @@ class TestEvaluate:
             LaurentPolynomial.one(2).evaluate([1, 0])
 
 
+# The endings of from_term_list's errors, after the item's repr.
+NOT_AN_INTEGER = "has a coefficient or exponent that is not an integer"
+MISSING_FIELD = "needs a coefficient and a list of exponents"
+
+
 class TestRendering:
     def test_mixed_signs(self):
         nv = 13
@@ -266,6 +271,28 @@ class TestRendering:
         for _ in range(10):
             f = random_polynomial(rng, 4)
             assert LaurentPolynomial.from_term_list(4, f.to_term_list()) == f
+
+    @pytest.mark.parametrize(
+        "item, error",
+        [
+            ({"coefficient": 1.5, "exponents": [0, 1]}, NOT_AN_INTEGER),
+            ({"coefficient": True, "exponents": [0, 1]}, NOT_AN_INTEGER),
+            ({"exponents": [0, 1]}, MISSING_FIELD),
+            ({"coefficient": "one", "exponents": [0, 1]}, NOT_AN_INTEGER),
+            ({"coefficient": 1, "exponents": [0, 1.0]}, NOT_AN_INTEGER),
+        ],
+        ids=[
+            "fractional-coefficient",
+            "bool-coefficient",
+            "missing-key",
+            "text-coefficient",
+            "float-exponent",
+        ],
+    )
+    def test_term_list_malformed_item_named(self, item, error):
+        with pytest.raises(InputError) as info:
+            LaurentPolynomial.from_term_list(2, [item])
+        assert str(info.value) == f"term {item!r} {error}"
 
 
 # Products and quotients over three variables whose exact result has an

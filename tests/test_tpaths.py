@@ -12,6 +12,7 @@ from ptolemy import (
     Arc,
     InputError,
     InvariantError,
+    LaurentPolynomial,
     Monomial,
     PathCheck,
     ResourceLimitError,
@@ -28,9 +29,9 @@ from ptolemy import (
     path_weight,
     snake_triangulation,
 )
-from ptolemy.expansion import _weight_keys, path_entry
+from ptolemy.expansion import path_entry
 from ptolemy.tpaths import crossing_keys
-from conftest import OCTAGON_PATHS, exponents, run_optimized
+from conftest import OCTAGON_PATHS, exponents, reference_weights, run_optimized
 
 
 def small_instances(max_rank):
@@ -501,8 +502,8 @@ class TestWeights:
                 assert negatives <= crossing
 
     def test_walk_weights_match_label_weights(self):
-        # The weights the walk carries, against weights read off each path's
-        # labels, and expand's two routes against each other.
+        # The weights the walk carries, against the reference weigher reading
+        # each path's labels, and expand's sum of them.
         snake = snake_triangulation(12)
         longest = max(all_polygon_diagonals(12), key=lambda c: len(snake.crossing_labels(c)))
         cases = list(small_instances(4)) + [(snake, longest.u, longest.v), (snake, longest.v, longest.u)]
@@ -510,7 +511,8 @@ class TestWeights:
             weights = []
             paths = enumerate_t_paths(t, source, target, weights=weights)
             assert paths == enumerate_t_paths(t, source, target)
-            assert weights == _weight_keys(paths, t.n_labels)
-            chord = Arc(source, target)
-            table = {(source, target): path_entry(t, paths)}
-            assert expand(t, chord, source) == expand(t, chord, source, paths=table)
+            assert weights == reference_weights(t, paths)
+            assert path_entry(t, source, target) == (paths, weights)
+            assert expand(t, Arc(source, target), source) == LaurentPolynomial.from_keys(
+                t.n_labels, weights
+            )

@@ -24,8 +24,9 @@ from ptolemy import (
     check_bijections_fg,
     check_partitions,
 )
+from ptolemy.laurent import packed_layout
 from ptolemy.verify import CheckRow, all_pass, render_report, run_checks
-from conftest import run_optimized
+from conftest import reference_weights, run_optimized
 
 _honest_expand = ptolemy.expansion.expand
 _honest_recursive = ptolemy.oracle.cluster_variable_recursive
@@ -69,33 +70,53 @@ def scaled_recursion(t, arc, origin=None):
     return poly + poly if faulty else poly
 
 
-def duplicating_enumeration(t, source, target):
+def weighed(t, paths, weights):
+    """The paths, their reference weights appended to ``weights`` when it is given."""
+    if weights is not None:
+        weights += reference_weights(t, paths)
+    return paths
+
+
+def duplicating_enumeration(t, source, target, *, weights=None):
     """Enumeration repeating its first path when it finds three or more, so two terms merge."""
     paths = _honest_enumerate(t, source, target)
-    return paths + paths[:1] if t.contains(_FAULTY) and len(paths) >= 3 else paths
+    if t.contains(_FAULTY) and len(paths) >= 3:
+        paths = paths + paths[:1]
+    return weighed(t, paths, weights)
 
 
-def dropping_enumeration(t, source, target):
+def dropping_enumeration(t, source, target, *, weights=None):
     """Enumeration losing its last path when run from the larger endpoint."""
     paths = _honest_enumerate(t, source, target)
-    return paths[:-1] if t.contains(_FAULTY) and source > target and len(paths) >= 2 else paths
+    if t.contains(_FAULTY) and source > target and len(paths) >= 2:
+        paths = paths[:-1]
+    return weighed(t, paths, weights)
 
 
-def swapping_enumeration(t, source, target):
+def swapping_enumeration(t, source, target, *, weights=None):
     """Enumeration swapping the first two labels of its last path, from the larger endpoint."""
     paths = _honest_enumerate(t, source, target)
     if t.contains(_FAULTY) and source > target and len(paths) >= 2:
         last = paths[-1]
         labels = (last.labels[1], last.labels[0]) + last.labels[2:]
         paths = paths[:-1] + [TPath(last.vertices, labels)]
-    return paths
+    return weighed(t, paths, weights)
 
 
-def thinning_enumeration(t, source, target):
+def thinning_enumeration(t, source, target, *, weights=None):
     """Enumeration losing its first path on chords that cross exactly one diagonal."""
     paths = _honest_enumerate(t, source, target)
-    single = len(t.crossing_labels(Arc(source, target))) == 1
-    return paths[1:] if t.contains(_FAULTY) and single else paths
+    if t.contains(_FAULTY) and len(t.crossing_labels(Arc(source, target))) == 1:
+        paths = paths[1:]
+    return weighed(t, paths, weights)
+
+
+def skewing_enumeration(t, source, target, *, weights=None):
+    """Enumeration handing back the honest paths, the last one's weight times x1."""
+    paths = weighed(t, _honest_enumerate(t, source, target), weights)
+    if t.contains(_FAULTY) and weights is not None:
+        weights[-1] += packed_layout(t.n_labels)[1][1]
+    return paths
 
 
 def dropping_brute_force(t, source, targets):
@@ -119,8 +140,8 @@ _SEED = "in (Arc(u=1, v=5), Arc(u=2, v=4), Arc(u=2, v=5))"
 
 # fault: (function replaced, stand-in, the rank-3 full sweep's failing rows as
 # {name: (status, instances, detail)}).  Each first row named is the one the
-# fault targets.  The values are what the seven separate row loops reported
-# before the sweep became one pass.
+# fault targets.  The values of the first seven are what the seven separate
+# row loops reported before the sweep became one pass.
 FAULTS = {
     "scale-recursion": (
         _honest_recursive,
@@ -178,6 +199,18 @@ FAULTS = {
             ),
             "expansion-vs-recursion": ("fail", 65, f"1-4 {_SEED}"),
             "enumeration-vs-brute-force": ("fail", 129, f"1->4 {_SEED}"),
+        },
+    ),
+    "skew-walk-weights": (
+        _honest_enumerate,
+        skewing_enumeration,
+        {
+            "expansion-vs-recursion": ("fail", 64, f"1-3 {_SEED}"),
+            "start-edge-bijections": (
+                "fail",
+                86,
+                "weight of (3,2,4,5,2,1 | 5,2,7,3,4) is not weight((4,5,2,1 | 7,3,4))*x5/x2",
+            ),
         },
     ),
     "drop-brute-path": (
@@ -315,9 +348,9 @@ def test_rows_fail_under_optimization():
 def test_sweep_enumerates_each_ordered_pair_once_per_triangulation():
     calls = []
 
-    def counted(t, source, target):
+    def counted(t, source, target, *, weights=None):
         calls.append((t.diagonal_key(), source, target))
-        return _honest_enumerate(t, source, target)
+        return weighed(t, _honest_enumerate(t, source, target), weights)
 
     with injected(_honest_enumerate, counted):
         assert all_pass(run_checks(3, "full"))
@@ -380,24 +413,16 @@ def test_sweep_builds_one_crossing_table_per_oriented_chord():
     assert len(crossed) == 3 * len(built)
 
 
-def test_sweep_weighs_each_table_entry_and_reads_each_step_once():
-    honest_weights, honest_step = ptolemy.expansion._weight_keys, ptolemy.polygon.first_crossing_step
-    weighed = []
+def test_sweep_reads_each_step_once():
+    honest_step = ptolemy.polygon.first_crossing_step
     stepped = []
-
-    def counted_weights(paths, nvars):
-        weighed.append(paths)
-        return honest_weights(paths, nvars)
 
     def counted_step(t, chord, origin):
         stepped.append((t.diagonal_key(), chord, origin))
         return honest_step(t, chord, origin)
 
-    with injected(honest_weights, counted_weights), injected(honest_step, counted_step):
+    with injected(honest_step, counted_step):
         assert all_pass(run_checks(3, "full"))
-    # 14 triangulations of the hexagon, 9 diagonals, both orientations of
-    # each: one weighing per table entry, however many rows read it
-    assert len(weighed) == 2 * 9 * 14
     # 6 of the 9 diagonals cross each triangulation: one step per crossed
     # oriented chord, for both the partition and the bijection row
     assert len(stepped) == 2 * 6 * 14
